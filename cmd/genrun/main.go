@@ -2,15 +2,14 @@
 // differential sweep: every seed's kernel runs uninterrupted and under
 // forced mid-flight preemption by each technique, and the final device
 // memory is byte-compared against the host-side golden interpreter.
-// Sampled oracles ride along: scan-vs-readyqueue lockstep, epoch-
-// parallel shards, resume integrity, snapshot round-trip, and a
-// fault-injection chaos episode.
+// Sampled oracles ride along: scan-vs-readyqueue lockstep, resume
+// integrity, snapshot round-trip, and a fault-injection chaos episode.
 //
 // Usage:
 //
 //	genrun [-start N] [-n N] [-procs N] [-kinds A,B,...] [-fracs F,F]
-//	       [-shards-every N] [-scan-every N] [-integrity-every N]
-//	       [-snapshot-every N] [-chaos-every N] [-chaos-rate R]
+//	       [-scan-every N] [-integrity-every N] [-snapshot-every N]
+//	       [-chaos-every N] [-chaos-rate R]
 //	genrun -dump SEED
 //
 // The sweep is a deterministic function of (-start, -n) and the oracle
@@ -40,7 +39,6 @@ func main() {
 		procs          = flag.Int("procs", 0, "sweep workers: 0 = one per technique count heuristic (8), 1 = serial; identical report either way")
 		kindsFlag      = flag.String("kinds", "", "comma-separated technique names (default: all 8)")
 		fracsFlag      = flag.String("fracs", "", "comma-separated signal fractions in (0,1) (default: 0.3,0.7)")
-		shardsEvery    = flag.Int("shards-every", 4, "run the 2-shard oracle every Nth seed (0 = off)")
 		scanEvery      = flag.Int("scan-every", 4, "run the reference-scheduler lockstep oracle every Nth seed (0 = off)")
 		integrityEvery = flag.Int("integrity-every", 2, "attach the resume-integrity oracle every Nth seed (0 = off)")
 		snapshotEvery  = flag.Int("snapshot-every", 8, "run the snapshot round-trip oracle every Nth seed (0 = off)")
@@ -74,9 +72,8 @@ func main() {
 		usageErr("-procs must be >= 0, got %d", *procs)
 	}
 	for name, v := range map[string]int{
-		"-shards-every": *shardsEvery, "-scan-every": *scanEvery,
-		"-integrity-every": *integrityEvery, "-snapshot-every": *snapshotEvery,
-		"-chaos-every": *chaosEvery,
+		"-scan-every": *scanEvery, "-integrity-every": *integrityEvery,
+		"-snapshot-every": *snapshotEvery, "-chaos-every": *chaosEvery,
 	} {
 		if v < 0 {
 			usageErr("%s must be >= 0, got %d", name, v)
@@ -95,9 +92,8 @@ func main() {
 	}
 
 	opt := sweep.DefaultOptions()
-	opt.ShardsEvery, opt.ScanEvery = *shardsEvery, *scanEvery
-	opt.IntegrityEvery, opt.SnapshotEvery = *integrityEvery, *snapshotEvery
-	opt.ChaosEvery, opt.ChaosRate = *chaosEvery, *chaosRate
+	opt.ScanEvery, opt.IntegrityEvery = *scanEvery, *integrityEvery
+	opt.SnapshotEvery, opt.ChaosEvery, opt.ChaosRate = *snapshotEvery, *chaosEvery, *chaosRate
 	if *kindsFlag != "" {
 		kinds, err := parseKinds(*kindsFlag)
 		if err != nil {

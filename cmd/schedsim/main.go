@@ -6,7 +6,7 @@
 //
 //	schedsim [-seed N] [-jobs N] [-tenants N] [-gap CYCLES] [-prio N]
 //	         [-sms N] [-iters N] [-kinds all|paper|K1,K2,...]
-//	         [-quick] [-procs N] [-shards N] [-verify=false] [-metrics]
+//	         [-quick] [-procs N] [-verify=false] [-metrics]
 //	         [-events] [-cache-dir DIR]
 //	         [-devices N] [-checkpoint-every N] [-kill-device ID@CYCLE]
 //	         [-warm-pool N] [-statehash]
@@ -14,10 +14,8 @@
 // The trace (who arrives when, with which kernel and priority) is a
 // pure function of the flags, and each technique's run is a
 // deterministic simulation, so two invocations with the same flags are
-// byte-identical regardless of -procs and -shards. The two flags are
-// orthogonal parallelism axes: -procs runs whole technique replays on
-// separate workers, -shards splits each simulated device's SMs across
-// goroutines (epoch-parallel engine, capped at -sms).
+// byte-identical regardless of -procs, which runs whole technique
+// replays on separate workers.
 //
 // -events appends each technique's scheduling decision log (arrivals,
 // preemptions, parks, resumes, completions with cycle stamps).
@@ -40,7 +38,7 @@
 // re-arbitrating per-tenant SM shares from measured demand and
 // rebalancing devices through checkpoint/warm-restore migration. The
 // report is each technique's per-tenant SLO table plus the serving
-// decision log, byte-identical at every -procs and -shards setting.
+// decision log, byte-identical at every -procs setting.
 package main
 
 import (
@@ -129,7 +127,6 @@ func main() {
 		kindsF  = flag.String("kinds", "all", "techniques: all, paper, or comma-separated names (e.g. BASELINE,CTXBack)")
 		quick   = flag.Bool("quick", false, "small unit-test device model (fast, less faithful)")
 		procs   = flag.Int("procs", 0, "technique-run workers: 0 = GOMAXPROCS, 1 = serial (identical output either way)")
-		shards  = flag.Int("shards", 0, "SM shards inside each technique's device: 0/1 = serial, n>1 = n goroutines capped at -sms (identical output either way; -procs spreads whole technique runs, -shards splits one device)")
 		verify  = flag.Bool("verify", true, "check every job's output against its CPU golden reference")
 		metrics = flag.Bool("metrics", false, "append per-tenant counters and latency histograms")
 		events  = flag.Bool("events", false, "append each technique's scheduling decision log")
@@ -185,9 +182,6 @@ func main() {
 	}
 	if *procs < 0 {
 		usageErr("-procs must be >= 0, got %d", *procs)
-	}
-	if *shards < 0 {
-		usageErr("-shards must be >= 0, got %d", *shards)
 	}
 	if *devices < 0 {
 		usageErr("-devices must be >= 0, got %d", *devices)
@@ -254,7 +248,6 @@ func main() {
 	sc.Dev.NumSMs = *sms
 	sc.Params.ItersPerWarp = *iters
 	sc.Verify = *verify
-	sc.Shards = *shards
 	if *metrics {
 		sc.Metrics = trace.NewRegistry()
 	}
@@ -352,7 +345,6 @@ func main() {
 
 	o := harness.QuickOptions()
 	o.Parallelism = *procs
-	o.Shards = *shards
 	r := harness.NewRunner(o)
 	cmp, err := r.Schedule(tc, sc, kinds)
 	if err != nil {

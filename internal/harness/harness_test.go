@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ctxback/internal/preempt"
+	"ctxback/internal/trace"
 )
 
 func quick() Options {
@@ -17,7 +18,7 @@ func TestTableIShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("harness experiments are slow")
 	}
-	rows, err := TableI(quick())
+	rows, err := NewRunner(quick()).TableI()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func TestTableIShape(t *testing.T) {
 }
 
 func TestFig7Shape(t *testing.T) {
-	fig, err := Fig7(quick())
+	fig, err := NewRunner(quick()).Fig7()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,11 +87,7 @@ func TestFig8Fig9Shape(t *testing.T) {
 		t.Skip("harness experiments are slow")
 	}
 	o := quick()
-	f8, err := Fig8(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f9, err := Fig9(o)
+	f8, f9, err := NewRunner(o).MeasureDynamic()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +116,7 @@ func TestFig10Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("harness experiments are slow")
 	}
-	fig, err := Fig10(quick())
+	fig, err := NewRunner(quick()).Fig10()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +138,7 @@ func TestFig10Shape(t *testing.T) {
 }
 
 func TestAblationMonotone(t *testing.T) {
-	rows, err := Ablation(quick())
+	rows, err := NewRunner(quick()).Ablation()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +202,7 @@ func TestWaitDistribution(t *testing.T) {
 	if testing.Short() {
 		t.Skip("harness experiments are slow")
 	}
-	r, err := WaitDistribution(quick(), "VA", 4)
+	r, err := NewRunner(quick()).WaitDistribution("VA", 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,8 +218,35 @@ func TestWaitDistribution(t *testing.T) {
 	if s := RenderQoS(r); !strings.Contains(s, "p95") {
 		t.Error("render missing p95 column")
 	}
-	if _, err := WaitDistribution(quick(), "NOPE", 2); err == nil {
+	if _, err := NewRunner(quick()).WaitDistribution("NOPE", 2); err == nil {
 		t.Error("unknown benchmark must error")
+	}
+}
+
+// TestPercentileNearestRank pins the QoS p95 to the nearest-rank
+// definition sched's turnaround percentiles use (sorted[NearestRank-1]).
+// At benchtab -qos's default of 9 arrival points, p95 is rank
+// ceil(0.95*9) = 9, the maximum.
+func TestPercentileNearestRank(t *testing.T) {
+	nine := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9}
+	if got := percentile(nine, 0.95); got != 9 {
+		t.Errorf("p95 of 9 samples = %v, want 9 (the 9th)", got)
+	}
+	if got := percentile(nil, 0.95); got != 0 {
+		t.Errorf("p95 of no samples = %v, want 0", got)
+	}
+	// Samples 1..n make the value equal its rank, so agreement with
+	// sched's definition is agreement with trace.NearestRank.
+	for n := 1; n <= 200; n++ {
+		sorted := make([]float64, n)
+		for i := range sorted {
+			sorted[i] = float64(i + 1)
+		}
+		for _, q := range []float64{0.01, 0.05, 0.5, 0.9, 0.95, 0.99} {
+			if got, want := percentile(sorted, q), float64(trace.NearestRank(int64(n), q)); got != want {
+				t.Fatalf("percentile(n=%d, q=%v) = %v, want rank %v", n, q, got, want)
+			}
+		}
 	}
 }
 

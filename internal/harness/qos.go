@@ -7,6 +7,7 @@ import (
 
 	"ctxback/internal/kernels"
 	"ctxback/internal/preempt"
+	"ctxback/internal/trace"
 )
 
 // QoSRow summarizes the waiting-time distribution one technique imposes
@@ -24,11 +25,6 @@ type QoSResult struct {
 	Abbrev  string
 	Samples int
 	Rows    []QoSRow
-}
-
-// WaitDistribution runs the distribution study on a one-shot Runner.
-func WaitDistribution(o Options, abbrev string, n int) (*QoSResult, error) {
-	return NewRunner(o).WaitDistribution(abbrev, n)
 }
 
 // WaitDistribution preempts the kernel at n points spread across its
@@ -108,12 +104,14 @@ func mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
+// percentile returns the nearest-rank q-percentile of sorted samples,
+// the definition sched's turnaround percentiles use: rank ceil(q*n),
+// computed exactly by trace.NearestRank.
 func percentile(sorted []float64, q float64) float64 {
 	if len(sorted) == 0 {
 		return 0
 	}
-	idx := int(q * float64(len(sorted)-1))
-	return sorted[idx]
+	return sorted[trace.NearestRank(int64(len(sorted)), q)-1]
 }
 
 // RenderQoS formats the distribution table.

@@ -41,10 +41,6 @@ func (t *baselineTech) Hook(w *sim.Warp, pc int) ([]isa.Instruction, *sim.SavedC
 	return nil, nil
 }
 
-// HookAt (sim.HookPredicate): BASELINE injects no instrumentation, so
-// the epoch engine may drain every kernel instruction in parallel.
-func (t *baselineTech) HookAt(w *sim.Warp, pc int) bool { return false }
-
 func (t *baselineTech) StaticContextBytes(pc int) int { return t.all.ContextBytes() }
 
 func (t *baselineTech) EstPreemptCycles(pc int) int64 {
@@ -92,9 +88,6 @@ func (t *liveTech) ResumeRoutine(w *sim.Warp) ([]isa.Instruction, *sim.SavedCont
 func (t *liveTech) Hook(w *sim.Warp, pc int) ([]isa.Instruction, *sim.SavedContext) {
 	return nil, nil
 }
-
-// HookAt (sim.HookPredicate): LIVE injects no instrumentation.
-func (t *liveTech) HookAt(w *sim.Warp, pc int) bool { return false }
 
 func (t *liveTech) StaticContextBytes(pc int) int { return t.contextAt(pc).ContextBytes() }
 

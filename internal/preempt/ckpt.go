@@ -161,17 +161,6 @@ func (t *ckptTech) snapshotRegs(pc int) isa.RegSet {
 	return regs
 }
 
-// HookAt (sim.HookPredicate) over-approximates Hook: true at every PC
-// where Hook could take a checkpoint OR touch per-run state (a visited
-// site increments its counter even when the interval skips the
-// snapshot). Pure map reads only — safe to call concurrently; the
-// mutations themselves happen in Hook, which the epoch engine always
-// commits serially at PCs reported here.
-func (t *ckptTech) HookAt(w *sim.Warp, pc int) bool {
-	return w.Prog == t.prog &&
-		(t.last[w.ID] == nil || t.static.forced[pc] || t.static.siteOf[pc])
-}
-
 func (t *ckptTech) Hook(w *sim.Warp, pc int) ([]isa.Instruction, *sim.SavedContext) {
 	if w.Prog != t.prog {
 		// Another kernel sharing the device; its warps are not ours to

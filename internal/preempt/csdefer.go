@@ -84,9 +84,6 @@ func (t *csdeferTech) Hook(w *sim.Warp, pc int) ([]isa.Instruction, *sim.SavedCo
 	return nil, nil
 }
 
-// HookAt (sim.HookPredicate): CS-Defer injects no instrumentation.
-func (t *csdeferTech) HookAt(w *sim.Warp, pc int) bool { return false }
-
 func (t *csdeferTech) StaticContextBytes(pc int) int {
 	return t.contextAt(t.target[pc]).ContextBytes()
 }

@@ -99,16 +99,6 @@ func (t *ctxbackTech) ResumeRoutine(w *sim.Warp) ([]isa.Instruction, *sim.SavedC
 	return finishResume(w, t.compiled.ResumeRoutines[pc], pc), nil
 }
 
-// HookAt (sim.HookPredicate): OSRB backups fire exactly at the compiled
-// instrumentation sites; BackupAt is immutable after compilation.
-func (t *ctxbackTech) HookAt(w *sim.Warp, pc int) bool {
-	if w.Prog != t.prog {
-		return false
-	}
-	_, ok := t.compiled.BackupAt[pc]
-	return ok
-}
-
 // Hook injects the OSRB backup copies at instrumented block entries.
 func (t *ctxbackTech) Hook(w *sim.Warp, pc int) ([]isa.Instruction, *sim.SavedContext) {
 	if w.Prog != t.prog {
@@ -208,9 +198,6 @@ func (t *combinedTech) Hook(w *sim.Warp, pc int) ([]isa.Instruction, *sim.SavedC
 	// future signal anywhere in the block may use a CTXBack plan.
 	return t.ctx.Hook(w, pc)
 }
-
-// HookAt (sim.HookPredicate) mirrors Hook's delegation.
-func (t *combinedTech) HookAt(w *sim.Warp, pc int) bool { return techHookAt(t.ctx, w, pc) }
 
 func (t *combinedTech) StaticContextBytes(pc int) int {
 	return t.pick(pc).StaticContextBytes(pc)

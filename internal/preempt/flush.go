@@ -141,12 +141,6 @@ func (t *flushTech) PhaseNames() trace.PhaseNames {
 // idempotence condition SM-flushing needs.
 func (t *flushTech) Flushable() bool { return t.flushable }
 
-// HookAt (sim.HookPredicate): the entry snapshot fires once per warp,
-// on its first issue; afterwards every PC is hook-free.
-func (t *flushTech) HookAt(w *sim.Warp, pc int) bool {
-	return w.Prog == t.prog && t.entry[w.ID] == nil
-}
-
 // Hook captures the launch-time context at each warp's first
 // instruction; it costs a handful of scalar saves once per warp.
 func (t *flushTech) Hook(w *sim.Warp, pc int) ([]isa.Instruction, *sim.SavedContext) {
@@ -398,11 +392,6 @@ func (t *chimeraTech) Hook(w *sim.Warp, pc int) ([]isa.Instruction, *sim.SavedCo
 		return instrs, buf
 	}
 	return t.ctx.Hook(w, pc)
-}
-
-// HookAt (sim.HookPredicate): either delegate may fire.
-func (t *chimeraTech) HookAt(w *sim.Warp, pc int) bool {
-	return t.flush.HookAt(w, pc) || techHookAt(t.ctx, w, pc)
 }
 
 func (t *chimeraTech) StaticContextBytes(pc int) int { return t.ctx.StaticContextBytes(pc) }

@@ -224,14 +224,3 @@ const (
 func estTrafficCycles(bytes int) int64 {
 	return estFixedCycles + int64(float64(bytes)/estBytesPerCycle)
 }
-
-// techHookAt queries a wrapped technique's hook predicate, defaulting
-// to true (hook possible anywhere) when it does not implement
-// sim.HookPredicate — the conservative answer the epoch engine assumes
-// for predicate-less runtimes anyway.
-func techHookAt(t Technique, w *sim.Warp, pc int) bool {
-	if hp, ok := t.(sim.HookPredicate); ok {
-		return hp.HookAt(w, pc)
-	}
-	return true
-}

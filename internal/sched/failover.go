@@ -459,12 +459,8 @@ func RunFleet(cfg Config, kind preempt.Kind, jobs []Job, fo FailoverConfig) (*Fl
 
 	var pool *snapshot.Pool
 	if fo.WarmPool > 0 {
-		shards := cfg.Shards
-		if shards == 0 {
-			shards = 1
-		}
 		var err error
-		pool, err = snapshot.NewPool(cfg.Dev, shards, fo.WarmPool)
+		pool, err = snapshot.NewPool(cfg.Dev, fo.WarmPool)
 		if err != nil {
 			return nil, err
 		}

@@ -196,31 +196,6 @@ func TestFleetNoCheckpointFallsBackToRerun(t *testing.T) {
 	}
 }
 
-// TestFleetDeterministicAcrossShards: the failover run must be
-// byte-identical whether the devices step serially or epoch-parallel.
-func TestFleetDeterministicAcrossShards(t *testing.T) {
-	jobs := fleetTrace(t, 31, 6)
-	fo := FailoverConfig{Devices: 2, CheckpointEvery: 40_000, KillDevice: 0, KillCycle: 80_000}
-	serialCfg := testSchedConfig()
-	shardCfg := testSchedConfig()
-	shardCfg.Shards = 2
-	serial, err := RunFleet(serialCfg, preempt.CTXBack, jobs, fo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded, err := RunFleet(shardCfg, preempt.CTXBack, jobs, fo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial.StateHash() != sharded.StateHash() {
-		t.Fatalf("state hash differs across shards:\n--- serial\n%s--- sharded\n%s",
-			serial.StateHash(), sharded.StateHash())
-	}
-	if serial.Render() != sharded.Render() {
-		t.Fatal("fleet report differs across shards")
-	}
-}
-
 // TestFleetConfigValidation covers the flag-level error paths.
 func TestFleetConfigValidation(t *testing.T) {
 	jobs := fleetTrace(t, 31, 4)

@@ -50,20 +50,6 @@ func (m *muxRuntime) Hook(w *sim.Warp, pc int) ([]isa.Instruction, *sim.SavedCon
 	return t.Hook(w, pc)
 }
 
-// HookAt (sim.HookPredicate) forwards to the warp's own technique so
-// the epoch engine sees through the multiplexer: unknown programs never
-// hook, techniques without a predicate conservatively always might.
-func (m *muxRuntime) HookAt(w *sim.Warp, pc int) bool {
-	t, ok := m.techs[w.Prog]
-	if !ok {
-		return false
-	}
-	if hp, ok := t.(sim.HookPredicate); ok {
-		return hp.HookAt(w, pc)
-	}
-	return true
-}
-
 // PhaseNames forwards the technique-flavored phase labels. One Kind
 // drives the whole run, so every registered technique agrees; the
 // first-registered one answers for all (deterministically — ranging

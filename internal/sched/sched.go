@@ -273,11 +273,6 @@ type Config struct {
 	// Metrics, when non-nil, receives per-tenant counters and latency
 	// histograms after the run.
 	Metrics *trace.Registry
-	// Shards is the intra-device SM shard count (sim.Device.SetShards):
-	// 0/1 run the device serially, n>1 shards its SMs across n
-	// goroutines. Schedule outputs — decision log, per-tenant stats,
-	// golden verification — are byte-identical at every setting.
-	Shards int
 }
 
 // DefaultSchedConfig is the configuration cmd/schedsim and the harness
@@ -432,9 +427,6 @@ func newScheduler(cfg Config, kind preempt.Kind, jobs []Job, slabOf map[int]int)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Shards != 0 {
-		d.SetShards(cfg.Shards)
-	}
 	s := &scheduler{cfg: cfg, d: d, mux: newMux(kind), kind: kind,
 		progSeen: make(map[*isa.Program]bool)}
 	// Jobs are admitted in (arrival, ID) order; ties resolve by ID so
@@ -537,20 +529,7 @@ func (s *scheduler) runTo(stop int64) (bool, error) {
 		if s.d.Now() >= stop {
 			return false, nil
 		}
-		// eventReady is a boundary condition except for its arrival
-		// term, whose earliest firing cycle is known exactly — passing
-		// it (clamped to the pause cycle) as the time bound keeps the
-		// epoch engine byte-identical to the serial one (the
-		// arrival-crossing step commits serially).
-		nextArrival := int64(math.MaxInt64)
-		if s.nextArr < len(s.jobs) {
-			nextArrival = s.jobs[s.nextArr].admitAt
-		}
-		bound := nextArrival
-		if stop < bound {
-			bound = stop
-		}
-		if err := s.d.RunUntilBounded(cond, bound, s.cfg.MaxCycles); err != nil {
+		if err := s.d.RunUntil(cond, s.cfg.MaxCycles); err != nil {
 			return false, err
 		}
 		if s.eventReady() {

@@ -233,6 +233,11 @@ func TestPercentileNearestRank(t *testing.T) {
 	if percentile(nil, 0.5) != 0 {
 		t.Error("empty percentile should be 0")
 	}
+	// benchtab -qos's 9 arrival points: p95 is the 9th sample, the same
+	// rank harness's QoS percentile is pinned to.
+	if got := percentile([]int64{1, 2, 3, 4, 5, 6, 7, 8, 9}, 0.95); got != 9 {
+		t.Errorf("p95 of 9 samples = %d, want 9", got)
+	}
 }
 
 // TestPercentileExactRank pins percentile against the exact nearest

@@ -95,10 +95,7 @@ func (ep *Episode) PhaseNames() trace.PhaseNames { return ep.names }
 // AttachRuntime installs the preemption technique runtime whose Hook
 // instrumentation (checkpoints, OSRB copies) should run during normal
 // execution. Required before Preempt with the same runtime.
-func (d *Device) AttachRuntime(rt Runtime) {
-	d.rt = rt
-	d.hookPred, _ = rt.(HookPredicate)
-}
+func (d *Device) AttachRuntime(rt Runtime) { d.rt = rt }
 
 // Parked reports whether the episode is swapped out: every context is
 // saved but resume has not started. A parked episode's SM may host a new

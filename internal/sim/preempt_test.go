@@ -54,11 +54,6 @@ func (naiveRuntime) ResumeRoutine(w *Warp) ([]isa.Instruction, *SavedContext) {
 
 func (naiveRuntime) Hook(w *Warp, pc int) ([]isa.Instruction, *SavedContext) { return nil, nil }
 
-// HookAt declares the hook inert so the epoch engine keeps draining
-// local pops while the runtime is attached — the sharded episode tests
-// then exercise parallel phases through preemption, not just around it.
-func (naiveRuntime) HookAt(w *Warp, pc int) bool { return false }
-
 // sumKernel computes, per lane: out[gid] = sum_{i=1..n} i + lane, looping
 // n times so there is plenty of execution to preempt in the middle of.
 func sumKernel(t *testing.T) *isa.Program {

@@ -36,29 +36,24 @@ func TransferCycles(cfg sim.Config, encodedBytes int) int64 {
 }
 
 // Pool keeps pre-initialized device shells so a restore can skip the
-// construction cost. All shells share one Config and shard width; Get
-// falls back to constructing a cold shell when the pool is dry, and
-// reports which path it took so the harness can split the restore
-// phase into restore-warm vs restore-cold.
+// construction cost. All shells share one Config; Get falls back to
+// constructing a cold shell when the pool is dry, and reports which
+// path it took so the harness can split the restore phase into
+// restore-warm vs restore-cold.
 type Pool struct {
 	cfg    sim.Config
-	shards int
 	shells []*sim.Device
 }
 
-// NewPool validates cfg and pre-builds n shells at the given shard
-// width (0 and 1 both mean serial).
-func NewPool(cfg sim.Config, shards, n int) (*Pool, error) {
+// NewPool validates cfg and pre-builds n shells.
+func NewPool(cfg sim.Config, n int) (*Pool, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	if shards == 0 {
-		shards = 1
 	}
 	if n < 0 {
 		return nil, fmt.Errorf("snapshot: pool size %d < 0", n)
 	}
-	p := &Pool{cfg: cfg, shards: shards}
+	p := &Pool{cfg: cfg}
 	for i := 0; i < n; i++ {
 		if err := p.Refill(1); err != nil {
 			return nil, err
@@ -86,16 +81,7 @@ func (p *Pool) Refill(n int) error {
 	return nil
 }
 
-func (p *Pool) build() (*sim.Device, error) {
-	d, err := sim.NewDevice(p.cfg)
-	if err != nil {
-		return nil, err
-	}
-	if p.shards > 1 {
-		d.SetShards(p.shards)
-	}
-	return d, nil
-}
+func (p *Pool) build() (*sim.Device, error) { return sim.NewDevice(p.cfg) }
 
 // Get pops a warm shell, or builds a cold one when the pool is dry.
 // warm reports which happened; a cold restore additionally charges

@@ -41,6 +41,11 @@ import (
 const (
 	magic   = "CSNP"
 	version = 1
+	// wireShards is the meta section's shard-width field. The simulator
+	// has a single serial run loop, so the field is always 1; it stays
+	// on the wire so checkpoint bytes (and their sizes) are unchanged,
+	// and the decoder refuses any other value.
+	wireShards = 1
 )
 
 // Section ids, in required stream order.
@@ -584,7 +589,7 @@ func getNames(r *rbuf) trace.PhaseNames {
 
 func putMeta(w *wbuf, st *sim.DeviceState) {
 	putConfig(w, st.Cfg)
-	w.i64(int64(st.Shards))
+	w.i64(wireShards)
 	w.i64(st.Now)
 	w.i64(st.MemFree)
 	w.i64(st.CtxFree)
@@ -599,7 +604,9 @@ func putMeta(w *wbuf, st *sim.DeviceState) {
 
 func getMeta(r *rbuf, st *sim.DeviceState) {
 	st.Cfg = getConfig(r)
-	st.Shards = int(r.i64())
+	if v := r.i64(); r.err == nil && v != wireShards {
+		r.fail("shard width %d, want %d", v, wireShards)
+	}
 	st.Now = r.i64()
 	st.MemFree = r.i64()
 	st.CtxFree = r.i64()

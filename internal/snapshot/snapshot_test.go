@@ -2,6 +2,8 @@ package snapshot
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"strings"
 	"testing"
 
@@ -349,7 +351,7 @@ func TestWarmPoolEquivalence(t *testing.T) {
 		return res, append([]uint32(nil), res.Device.Mem...)
 	}
 
-	pool, err := NewPool(sim.TestConfig(), 1, 2)
+	pool, err := NewPool(sim.TestConfig(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,8 +385,8 @@ func TestWarmPoolEquivalence(t *testing.T) {
 	}
 }
 
-// TestRestorePoolMismatch: a pool built for a different device model or
-// shard width must refuse the import cleanly on both paths.
+// TestRestorePoolMismatch: a pool built for a different device model
+// must refuse the import cleanly on both paths.
 func TestRestorePoolMismatch(t *testing.T) {
 	wl := mustWorkload(t, "VA")
 	d, _, _ := parked(t, preempt.Baseline, wl)
@@ -394,7 +396,7 @@ func TestRestorePoolMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	big, err := NewPool(sim.DefaultConfig(), 1, 1)
+	big, err := NewPool(sim.DefaultConfig(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,14 +404,46 @@ func TestRestorePoolMismatch(t *testing.T) {
 		!strings.Contains(err.Error(), "config mismatch") {
 		t.Fatalf("config-mismatch restore: %v", err)
 	}
+}
 
-	sharded, err := NewPool(sim.TestConfig(), 2, 1)
+// TestRejectShardWidth: the meta section keeps a shard-width field that
+// is always encoded as 1. A checkpoint carrying any other width — even
+// with a valid checksum — must be refused with an error by both decode
+// paths and by Restore, never imported or panicked on.
+func TestRejectShardWidth(t *testing.T) {
+	wl := mustWorkload(t, "VA")
+	d, _, _ := parked(t, preempt.Baseline, wl)
+	_, enc := Capture(d, 1)
+	tech, err := preempt.New(preempt.Baseline, wl.Prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Restore(sharded, enc, enc, 1, tech, wl.Prog); err == nil ||
-		!strings.Contains(err.Error(), "shard width mismatch") {
-		t.Fatalf("shard-mismatch restore: %v", err)
+
+	// Header (magic, version, epoch) and the meta section's id and length
+	// precede the payload, which opens with the device config.
+	cfg := &wbuf{}
+	putConfig(cfg, d.Cfg)
+	const payloadOff = 4 + 2 + 8 + 2 + 4
+	widthOff := payloadOff + len(cfg.b)
+	plen := int(binary.LittleEndian.Uint32(enc[payloadOff-4:]))
+	if got := binary.LittleEndian.Uint64(enc[widthOff:]); got != 1 {
+		t.Fatalf("encoded shard width %d, want 1", got)
+	}
+
+	for _, width := range []int64{0, 2, -1} {
+		bad := append([]byte(nil), enc...)
+		binary.LittleEndian.PutUint64(bad[widthOff:], uint64(width))
+		binary.LittleEndian.PutUint64(bad[payloadOff+plen:], fnv1a64(bad[payloadOff:payloadOff+plen]))
+		var ce *CorruptError
+		if _, err := Decode(bad); !errors.As(err, &ce) || !strings.Contains(err.Error(), "shard width") {
+			t.Errorf("width %d: Decode = %v, want shard-width CorruptError", width, err)
+		}
+		if _, _, err := DecodeSpeculative(bad); !errors.As(err, &ce) {
+			t.Errorf("width %d: DecodeSpeculative = %v, want CorruptError", width, err)
+		}
+		if _, err := Restore(nil, bad, bad, 1, tech, wl.Prog); err == nil {
+			t.Errorf("width %d: Restore accepted the checkpoint", width)
+		}
 	}
 }
 
