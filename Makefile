@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check bench bench-smoke eval trace-smoke evalcheck sched-smoke serve-smoke procs-diff snap-diff gen-smoke cache-diff
+.PHONY: all build test check bench bench-smoke eval trace-smoke evalcheck sched-smoke serve-smoke procs-diff snap-diff gen-smoke cache-diff loc
 
 all: build
 
@@ -84,6 +84,13 @@ snap-diff:
 gen-smoke:
 	$(GO) run ./cmd/genrun -n 256 -procs 8
 	@echo "generated corpus differential sweep clean"
+
+# loc prints the non-test Go line count of every package, then the
+# total. perfbench/ is its own module, so ./... leaves it out.
+loc:
+	@$(GO) list -f '{{.ImportPath}}{{range .GoFiles}} {{$$.Dir}}/{{.}}{{end}}' ./... | \
+		awk '{ n = 0; for (i = 2; i <= NF; i++) { while ((getline l < $$i) > 0) n++; close($$i) } \
+		printf "%6d %s\n", n, $$1; t += n } END { printf "%6d total\n", t }'
 
 bench:
 	$(GO) test -run xxx -bench . -benchmem ./internal/sim/ ./internal/core/ ./internal/preempt/

@@ -20,6 +20,12 @@
 // -events appends each technique's scheduling decision log (arrivals,
 // preemptions, parks, resumes, completions with cycle stamps).
 //
+// All three modes run the same barrier driver (internal/sched): the
+// default single-device comparison is one device with no barriers,
+// FLEET mode barriers at checkpoints and the kill, SERVE mode at every
+// admission window. A job whose kernel's buffers span more than its
+// memory slab is refused before anything simulates.
+//
 // Any of -devices, -checkpoint-every, -kill-device, -warm-pool or
 // -statehash switches to FLEET mode: the trace is partitioned across
 // -devices simulated GPUs, every device is checkpointed whole

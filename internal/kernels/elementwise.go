@@ -77,6 +77,7 @@ func NewVA(p Params) (*Workload, error) {
 	}
 	return &Workload{
 		Abbrev: "VA", FullName: "Vector Addition", Prog: prog,
+		SpanBytes:   cBase + total*4 - aBase,
 		PaperVRegKB: 3.0, PaperSRegKB: 0.141, PaperLDSKB: 0,
 		PaperPreemptUs: 102.2, PaperResumeUs: 81.1,
 		NumBlocks: p.NumBlocks, WarpsPerBlock: p.WarpsPerBlock,
@@ -147,6 +148,7 @@ func NewRELU(p Params) (*Workload, error) {
 	}
 	return &Workload{
 		Abbrev: "RELU", FullName: "ReLU Activation", Prog: prog,
+		SpanBytes:   outBase + total*4 - inBase,
 		PaperVRegKB: 4.0, PaperSRegKB: 0.141, PaperLDSKB: 0,
 		PaperPreemptUs: 93.8, PaperResumeUs: 75.5,
 		NumBlocks: p.NumBlocks, WarpsPerBlock: p.WarpsPerBlock,
@@ -216,6 +218,7 @@ func NewLRN(p Params) (*Workload, error) {
 	}
 	return &Workload{
 		Abbrev: "LRN", FullName: "Local Response Norm", Prog: prog,
+		SpanBytes:   outBase + total*4 - inBase,
 		PaperVRegKB: 4.0, PaperSRegKB: 0.141, PaperLDSKB: 0,
 		PaperPreemptUs: 74.9, PaperResumeUs: 57.8,
 		NumBlocks: p.NumBlocks, WarpsPerBlock: p.WarpsPerBlock,
@@ -304,6 +307,7 @@ func NewAP(p Params) (*Workload, error) {
 	}
 	return &Workload{
 		Abbrev: "AP", FullName: "Average Pooling", Prog: prog,
+		SpanBytes:   outBase + totalOut*4 - inBase,
 		PaperVRegKB: 7.0, PaperSRegKB: 0.188, PaperLDSKB: 0,
 		PaperPreemptUs: 103.4, PaperResumeUs: 87.1,
 		NumBlocks: p.NumBlocks, WarpsPerBlock: p.WarpsPerBlock,
@@ -383,6 +387,7 @@ func NewDC(p Params) (*Workload, error) {
 	_ = inPerWarp
 	return &Workload{
 		Abbrev: "DC", FullName: "Direct Convolution", Prog: prog,
+		SpanBytes:   outBase + totalOut*4 - inBase,
 		PaperVRegKB: 8.0, PaperSRegKB: 0.141, PaperLDSKB: 0,
 		PaperPreemptUs: 153.0, PaperResumeUs: 114.2,
 		NumBlocks: p.NumBlocks, WarpsPerBlock: p.WarpsPerBlock,

@@ -31,6 +31,9 @@ type Workload struct {
 
 	NumBlocks     int
 	WarpsPerBlock int
+	// SpanBytes is the device memory the buffers occupy from
+	// Params.MemBase: the end of the last buffer minus the base.
+	SpanBytes int
 
 	// Init writes the input buffers into device memory.
 	Init func(d *sim.Device) error

@@ -166,3 +166,30 @@ func TestWorkloadDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestSpanBytesCoversFootprint pins each workload's reported buffer span:
+// after Init and a full run, every nonzero word of device memory lies in
+// [MemBase, MemBase+SpanBytes). A span that undershoots would let the
+// scheduler's slab check pass a kernel that spills into its neighbour.
+func TestSpanBytesCoversFootprint(t *testing.T) {
+	p := TestParams()
+	p.MemBase = 3 * bufBase
+	all, err := All(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, wl := range all {
+		if wl.SpanBytes <= 0 {
+			t.Errorf("%s: SpanBytes = %d", wl.Abbrev, wl.SpanBytes)
+			continue
+		}
+		d := runWorkload(t, wl)
+		for i, w := range d.Mem {
+			if a := 4 * i; w != 0 && (a < p.MemBase || a >= p.MemBase+wl.SpanBytes) {
+				t.Errorf("%s: word %#x = %#x outside span [%#x, %#x)",
+					wl.Abbrev, a, w, p.MemBase, p.MemBase+wl.SpanBytes)
+				break
+			}
+		}
+	}
+}

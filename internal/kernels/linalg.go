@@ -72,6 +72,7 @@ func NewGE(p Params) (*Workload, error) {
 	}
 	return &Workload{
 		Abbrev: "GE", FullName: "Gaussian Elimination", Prog: prog,
+		SpanBytes:   outBase + len(want)*4 - aBase,
 		PaperVRegKB: 8.0, PaperSRegKB: 0.141, PaperLDSKB: 0,
 		PaperPreemptUs: 92.3, PaperResumeUs: 74.0,
 		NumBlocks: p.NumBlocks, WarpsPerBlock: p.WarpsPerBlock,
@@ -194,6 +195,7 @@ func NewKM(p Params) (*Workload, error) {
 	}
 	return &Workload{
 		Abbrev: "KM", FullName: "K-Means", Prog: prog,
+		SpanBytes:   lblBase + totalPts*4 - ptsBase,
 		PaperVRegKB: 13.0, PaperSRegKB: 0.141, PaperLDSKB: 0,
 		PaperPreemptUs: 327.4, PaperResumeUs: 283.1,
 		NumBlocks: p.NumBlocks, WarpsPerBlock: p.WarpsPerBlock,

@@ -102,6 +102,7 @@ func NewDOT(p Params) (*Workload, error) {
 	ldsShare := 1024 / p.WarpsPerBlock
 	return &Workload{
 		Abbrev: "DOT", FullName: "Dot Product", Prog: prog,
+		SpanBytes:   outBase + warps*4 - aBase,
 		PaperVRegKB: 6.0, PaperSRegKB: 0.141, PaperLDSKB: 1.0,
 		PaperPreemptUs: 138.6, PaperResumeUs: 101.0,
 		NumBlocks: p.NumBlocks, WarpsPerBlock: p.WarpsPerBlock,
@@ -214,6 +215,7 @@ func NewMV(p Params) (*Workload, error) {
 	}
 	return &Workload{
 		Abbrev: "MV", FullName: "Matrix-Vector Multiply", Prog: prog,
+		SpanBytes:   yBase + totalRows*4 - xBase,
 		PaperVRegKB: 13.0, PaperSRegKB: 0.141, PaperLDSKB: 0.25,
 		PaperPreemptUs: 254.7, PaperResumeUs: 217.5,
 		NumBlocks: p.NumBlocks, WarpsPerBlock: p.WarpsPerBlock,
@@ -329,6 +331,7 @@ func NewMM(p Params) (*Workload, error) {
 	ldsShare := 512 / p.WarpsPerBlock
 	return &Workload{
 		Abbrev: "MM", FullName: "Matrix-Matrix Multiply", Prog: prog,
+		SpanBytes:   cBase + len(want)*4 - aBase,
 		PaperVRegKB: 13.0, PaperSRegKB: 0.141, PaperLDSKB: 0.5,
 		PaperPreemptUs: 214.6, PaperResumeUs: 152.7,
 		NumBlocks: p.NumBlocks, WarpsPerBlock: p.WarpsPerBlock,

@@ -133,6 +133,7 @@ func NewHS(p Params) (*Workload, error) {
 	ldsShare := (12 << 10) / p.WarpsPerBlock
 	return &Workload{
 		Abbrev: "HS", FullName: "Hybrid Sort", Prog: prog,
+		SpanBytes:   histBase + hsBuckets*4 - dataBase,
 		PaperVRegKB: 7.0, PaperSRegKB: 0.141, PaperLDSKB: 12.0,
 		PaperPreemptUs: 304.0, PaperResumeUs: 280.7,
 		NumBlocks: p.NumBlocks, WarpsPerBlock: p.WarpsPerBlock,
@@ -250,6 +251,7 @@ func NewMS(p Params) (*Workload, error) {
 	}
 	return &Workload{
 		Abbrev: "MS", FullName: "Merge Sort", Prog: prog,
+		SpanBytes:   outBase + len(want)*4 - aBase,
 		PaperVRegKB: 10.5, PaperSRegKB: 0.141, PaperLDSKB: 0,
 		PaperPreemptUs: 119.0, PaperResumeUs: 93.8,
 		NumBlocks: p.NumBlocks, WarpsPerBlock: p.WarpsPerBlock,

@@ -174,3 +174,17 @@ func TestRegressionFlushColdWarp(t *testing.T) {
 	preemptEveryCycle(t, prog, SMFlush, 2, 4)
 	preemptEveryCycle(t, prog, Chimera, 2, 4)
 }
+
+// TestRegressionLDSOrphanShare pins the save-coverage regression: once a
+// block peer is Done, the signal widens the victim's LDS coverage over
+// the orphaned share, but CKPT and SM-flushing saved LDS at a hook
+// before the signal, at the warp's launch-time width. Their resume must
+// restore that save into its own slice instead of faulting on a size
+// mismatch. Found by the 1000-seed sweep (seed 612); every technique is
+// swept since each one saves LDS somewhere.
+func TestRegressionLDSOrphanShare(t *testing.T) {
+	prog := regProg(t, "ckpt-lds-orphan-share")
+	for _, kind := range ExtendedKinds() {
+		preemptEveryCycle(t, prog, kind, 1, 2)
+	}
+}

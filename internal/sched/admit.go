@@ -121,8 +121,7 @@ func (a *admitter) requeue(j Job) {
 	t := j.Tenant
 	q := a.queues[t]
 	pos := 0
-	for pos < len(q) &&
-		(q[pos].job.Arrival < j.Arrival || (q[pos].job.Arrival == j.Arrival && q[pos].job.ID < j.ID)) {
+	for pos < len(q) && cmpArrival(q[pos].job, j) < 0 {
 		pos++
 	}
 	q = append(q, pendJob{})
@@ -160,9 +159,7 @@ func (a *admitter) drain(now int64, route func() bool, admit func(Job) error) er
 			if len(q) == 0 || blocked[t] {
 				continue
 			}
-			if best < 0 ||
-				q[0].job.Arrival < a.queues[best][0].job.Arrival ||
-				(q[0].job.Arrival == a.queues[best][0].job.Arrival && q[0].job.ID < a.queues[best][0].job.ID) {
+			if best < 0 || cmpArrival(q[0].job, a.queues[best][0].job) < 0 {
 				best = t
 			}
 		}

@@ -4,11 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 
 	"ctxback/internal/isa"
-	"ctxback/internal/kernels"
 	"ctxback/internal/preempt"
 	"ctxback/internal/sim"
 	"ctxback/internal/snapshot"
@@ -20,8 +19,8 @@ import (
 // internal/snapshot, and survives a chaos-injected device kill. The
 // recovery moves are first-class scheduler decisions:
 //
-//   - jobs with no device state at the kill are re-admitted round-robin
-//     to the surviving devices ("readmit");
+//   - jobs with no device state at the kill are re-admitted to the
+//     least-loaded surviving device ("readmit");
 //   - jobs with device state restore from the dead device's last
 //     whole-device checkpoint onto a replacement shell — warm from the
 //     context pool when one is configured ("restore-warm"), built cold
@@ -41,8 +40,8 @@ import (
 // crash-at-every-boundary equivalence test checks digest by digest.
 //
 // Completed output is copied host-side the moment a job completes (the
-// onComplete hook), mirroring real schedulers' result read-back — a
-// kill can never lose output that was already delivered.
+// fleet's completion hook), mirroring real schedulers' result
+// read-back — a kill can never lose output that was already delivered.
 
 // FailoverConfig configures a fleet run.
 type FailoverConfig struct {
@@ -65,17 +64,6 @@ type FailoverConfig struct {
 	// accumulating FleetResult.Decisions; Render then omits the log and
 	// the caller replays the sink after it. The caller flushes the sink.
 	DecisionSink *trace.LineSink
-}
-
-// decide records one fleet decision: streamed to the sink when set,
-// accumulated on the result otherwise. Both paths render through
-// FleetEvent.String, so the emitted bytes are identical.
-func (fo *FailoverConfig) decide(fr *FleetResult, e FleetEvent) {
-	if fo.DecisionSink != nil {
-		fo.DecisionSink.WriteLine(e.String())
-		return
-	}
-	fr.Decisions = append(fr.Decisions, e)
 }
 
 // FleetEvent is one entry of the fleet-level decision log.
@@ -126,28 +114,18 @@ type FleetResult struct {
 	Restore *snapshot.Outcome
 }
 
-// fnv1a64 hashes b (FNV-1a, 64-bit).
-func fnv1a64(b []byte) uint64 {
+// slabDigest hashes one job's slab words on device d: FNV-1a (64-bit)
+// over the words' little-endian bytes, without copying them out.
+func slabDigest(d *sim.Device, memBase, slabBytes int) uint64 {
 	const offset, prime = 14695981039346656037, 1099511628211
 	h := uint64(offset)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= prime
+	for _, w := range d.Mem[memBase/4 : (memBase+slabBytes)/4] {
+		for sh := 0; sh < 32; sh += 8 {
+			h ^= uint64(byte(w >> sh))
+			h *= prime
+		}
 	}
 	return h
-}
-
-// slabDigest hashes one job's slab words on device d.
-func slabDigest(d *sim.Device, memBase, slabBytes int) uint64 {
-	words := d.Mem[memBase/4 : (memBase+slabBytes)/4]
-	buf := make([]byte, 4*len(words))
-	for i, w := range words {
-		buf[4*i] = byte(w)
-		buf[4*i+1] = byte(w >> 8)
-		buf[4*i+2] = byte(w >> 16)
-		buf[4*i+3] = byte(w >> 24)
-	}
-	return fnv1a64(buf)
 }
 
 // ckpt is one device's checkpoint: the encoded snapshot plus the
@@ -270,12 +248,7 @@ func restoreFrom(c *ckpt, cfg Config, kind preempt.Kind, orig []*runJob,
 	if err != nil {
 		return nil, nil, err
 	}
-	s := &scheduler{cfg: cfg, d: res.Device, mux: mux, kind: kind,
-		progSeen: make(map[*isa.Program]bool),
-		progOrder: append([]*isa.Program(nil), c.progs...)}
-	for _, p := range c.progs {
-		s.progSeen[p] = true
-	}
+	s := &scheduler{cfg: cfg, d: res.Device, mux: mux, kind: kind}
 	kept := make(map[int]*runJob, len(orig))
 	nDone := 0
 	for i, jm := range c.meta.jobs {
@@ -332,50 +305,62 @@ func restoreFrom(c *ckpt, cfg Config, kind preempt.Kind, orig []*runJob,
 	return s, res, nil
 }
 
-// admitJob inserts a failover re-admission: the job keeps its identity,
-// priority and fleet-global memory slab, but first competes for this
-// scheduler's device at cycle at (the failover instant).
-func (s *scheduler) admitJob(j Job, memBase int, at int64) error {
-	p := s.cfg.Params
-	p.MemBase = memBase
-	wl, err := kernels.ByAbbrev(j.Kernel, p)
-	if err != nil {
-		return fmt.Errorf("sched: readmitting job %d: %w", j.ID, err)
-	}
-	occ, err := s.d.ComputeOccupancy(wl.Prog, p.WarpsPerBlock)
-	if err != nil {
-		return fmt.Errorf("sched: readmitting job %d (%s): %w", j.ID, j.Kernel, err)
-	}
-	p.NumBlocks = occ.BlocksPerSM
-	wl, err = kernels.ByAbbrev(j.Kernel, p)
-	if err != nil {
-		return fmt.Errorf("sched: readmitting job %d: %w", j.ID, err)
-	}
-	tech, err := preempt.New(s.kind, wl.Prog)
-	if err != nil {
-		return fmt.Errorf("sched: readmitting job %d under %v: %w", j.ID, s.kind, err)
-	}
-	s.mux.add(wl.Prog, tech)
-	rj := &runJob{job: j, wl: wl, sm: -1, admitAt: at}
-	// Insert into the pending tail keeping (admitAt, ID) order so the
-	// admission loop stays deterministic.
-	pos := s.nextArr
-	for pos < len(s.jobs) &&
-		(s.jobs[pos].admitAt < at || (s.jobs[pos].admitAt == at && s.jobs[pos].job.ID < j.ID)) {
-		pos++
-	}
-	s.jobs = append(s.jobs, nil)
-	copy(s.jobs[pos+1:], s.jobs[pos:])
-	s.jobs[pos] = rj
-	return nil
+// fleetRun is RunFleet's barrier schedule: whole-device checkpoints on
+// a fixed cadence and one injected kill, over a static round-robin
+// partition of the trace. Run is the same schedule on one device with
+// neither.
+type fleetRun struct {
+	f                *fleet
+	fo               FailoverConfig
+	fr               *FleetResult
+	jobs             int
+	records          map[int]record
+	nextCkpt, killAt int64
 }
 
-// jobRecord is the host-side copy of one completed job's outcome.
-type jobRecord struct {
-	device    int
-	digest    uint64
-	verifyErr error
-	seen      bool
+// record is where and with what slab digest a job last completed.
+type record struct {
+	device int
+	digest uint64
+}
+
+// newFleetRun partitions the trace round-robin in (arrival, ID) order;
+// that order also fixes every job's slab for the fleet's lifetime.
+func newFleetRun(cfg Config, kind preempt.Kind, jobs []Job, fo FailoverConfig) (*fleetRun, error) {
+	f, err := newFleet(cfg, kind, jobs, len(jobs), fo.WarmPool)
+	if err != nil {
+		return nil, err
+	}
+	f.sink = fo.DecisionSink
+	ordered := byArrival(jobs)
+	f.static = make(map[int]int, len(ordered))
+	for i, j := range ordered {
+		f.static[j.ID] = i
+	}
+	for di := 0; di < fo.Devices; di++ {
+		if di >= len(ordered) {
+			f.addDevice(nil, 0)
+			continue
+		}
+		dev, err := f.newDevice(0)
+		if err != nil {
+			return nil, err
+		}
+		for i := di; i < len(ordered); i += fo.Devices {
+			if err := f.admit(dev, ordered[i], ordered[i].Arrival); err != nil {
+				return nil, err
+			}
+		}
+	}
+	fs := &fleetRun{f: f, fo: fo, fr: &FleetResult{Kind: kind}, jobs: len(ordered),
+		records: make(map[int]record, len(ordered)), nextCkpt: math.MaxInt64, killAt: math.MaxInt64}
+	if fo.CheckpointEvery > 0 {
+		fs.nextCkpt = fo.CheckpointEvery
+	}
+	if fo.KillDevice >= 0 {
+		fs.killAt = fo.KillCycle
+	}
+	return fs, nil
 }
 
 // RunFleet replays the arrival trace across a fleet of devices with
@@ -388,9 +373,6 @@ func RunFleet(cfg Config, kind preempt.Kind, jobs []Job, fo FailoverConfig) (*Fl
 	if fo.Devices <= 0 {
 		fo.Devices = 2
 	}
-	if len(jobs) == 0 {
-		return nil, errors.New("sched: empty trace")
-	}
 	if fo.KillDevice >= fo.Devices {
 		return nil, fmt.Errorf("sched: kill device %d out of range (fleet has %d)", fo.KillDevice, fo.Devices)
 	}
@@ -400,347 +382,182 @@ func RunFleet(cfg Config, kind preempt.Kind, jobs []Job, fo FailoverConfig) (*Fl
 	if fo.CheckpointEvery < 0 {
 		return nil, errors.New("sched: checkpoint cadence must be >= 0")
 	}
-	if cfg.MaxCycles <= 0 {
-		cfg.MaxCycles = 2_000_000_000
+	fs, err := newFleetRun(cfg, kind, jobs, fo)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.SlabBytes <= 0 {
-		cfg.SlabBytes = (cfg.Dev.GlobalMemBytes - slabBase) / len(jobs)
-		cfg.SlabBytes -= cfg.SlabBytes % 4096
+	fs.f.digests = true
+	if err := fs.f.drive(fs); err != nil {
+		return nil, err
 	}
+	return fs.result()
+}
 
-	// Global (arrival, ID) order fixes every job's slab for the whole
-	// fleet's lifetime and the round-robin partition.
-	ordered := append([]Job(nil), jobs...)
-	sort.SliceStable(ordered, func(i, j int) bool {
-		if ordered[i].Arrival != ordered[j].Arrival {
-			return ordered[i].Arrival < ordered[j].Arrival
-		}
-		return ordered[i].ID < ordered[j].ID
-	})
-	slabOf := make(map[int]int, len(ordered))
-	for i, j := range ordered {
-		slabOf[j.ID] = i
-	}
-	parts := make([][]Job, fo.Devices)
-	for i, j := range ordered {
-		parts[i%fo.Devices] = append(parts[i%fo.Devices], j)
-	}
+func (fs *fleetRun) next() int64 { return min(fs.nextCkpt, fs.killAt) }
 
-	fr := &FleetResult{Kind: kind}
-	records := make(map[int]*jobRecord, len(ordered))
-	scheds := make([]*scheduler, fo.Devices)
-	done := make([]bool, fo.Devices)
-	offsets := make([]int64, fo.Devices)
-	ckpts := make([]*ckpt, fo.Devices)
+func (fs *fleetRun) complete(dev *device, c completion) error {
+	fs.records[c.rj.job.ID] = record{device: dev.id, digest: c.digest}
+	return nil
+}
 
-	// hook wires the host-side result copy-back into a scheduler.
-	hook := func(s *scheduler, dev int) {
-		s.onComplete = func(rj *runJob) {
-			rec := &jobRecord{device: dev, seen: true}
-			rec.digest = slabDigest(s.d, slabBase+slabOf[rj.job.ID]*cfg.SlabBytes, cfg.SlabBytes)
-			if cfg.Verify {
-				rec.verifyErr = rj.wl.Verify(s.d)
-			}
-			records[rj.job.ID] = rec
-		}
+func (fs *fleetRun) barrier(T int64) (bool, error) {
+	f := fs.f
+	if T == math.MaxInt64 {
+		return true, nil
 	}
-	for di := range parts {
-		if len(parts[di]) == 0 {
-			done[di] = true
-			continue
-		}
-		s, err := newScheduler(cfg, kind, parts[di], slabOf)
-		if err != nil {
-			return nil, fmt.Errorf("sched: device %d: %w", di, err)
-		}
-		hook(s, di)
-		scheds[di] = s
-	}
-
-	var pool *snapshot.Pool
-	if fo.WarmPool > 0 {
-		var err error
-		pool, err = snapshot.NewPool(cfg.Dev, fo.WarmPool)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	nextCkpt := int64(math.MaxInt64)
-	if fo.CheckpointEvery > 0 {
-		nextCkpt = fo.CheckpointEvery
-	}
-	killAt := int64(math.MaxInt64)
-	if fo.KillDevice >= 0 {
-		killAt = fo.KillCycle
-	}
-	var epoch uint64
-
-	allDone := func() bool {
-		for di := range scheds {
-			if scheds[di] != nil && !done[di] {
-				return false
-			}
-		}
-		return true
-	}
-
-	for {
-		stop := nextCkpt
-		if killAt < stop {
-			stop = killAt
-		}
-		for di := 0; di < len(scheds); di++ {
-			if scheds[di] == nil || done[di] {
+	if T == fs.nextCkpt {
+		f.epoch++
+		for _, dev := range f.devices {
+			if !dev.alive() || dev.done {
 				continue
 			}
-			d, err := scheds[di].runTo(stop)
+			c, err := dev.s.checkpoint(f.epoch)
 			if err != nil {
-				return nil, fmt.Errorf("sched: device %d: %w", di, err)
+				return false, fmt.Errorf("sched: device %d: %w", dev.id, err)
 			}
-			done[di] = d
-		}
-		if stop == math.MaxInt64 {
-			break
-		}
-		if stop == nextCkpt {
-			epoch++
-			for di := 0; di < len(scheds); di++ {
-				if scheds[di] == nil || done[di] {
-					continue
-				}
-				c, err := scheds[di].checkpoint(epoch)
-				if err != nil {
-					return nil, fmt.Errorf("sched: device %d: %w", di, err)
-				}
-				ckpts[di] = c
-				fr.Checkpoints++
-				fo.decide(fr, FleetEvent{Cycle: stop, What: "checkpoint",
-					Device: di, Job: -1, Detail: fmt.Sprintf("epoch %d, %d bytes", epoch, len(c.enc))})
-				if cfg.Metrics != nil {
-					cfg.Metrics.Counter("snap.checkpoints").Add(1)
-					cfg.Metrics.Counter("snap.checkpoint_bytes").Add(int64(len(c.enc)))
-				}
-			}
-			nextCkpt += fo.CheckpointEvery
-		}
-		if stop == killAt {
-			killAt = math.MaxInt64
-			var err error
-			scheds, done, offsets, ckpts, err = failover(fr, cfg, kind, fo, pool,
-				scheds, done, offsets, ckpts, slabOf, hook)
-			if err != nil {
-				return nil, err
+			dev.ckpt = c
+			fs.fr.Checkpoints++
+			f.decide(FleetEvent{Cycle: T, What: "checkpoint", Device: dev.id, Job: -1,
+				Detail: fmt.Sprintf("epoch %d, %d bytes", f.epoch, len(c.enc))})
+			if m := f.cfg.Metrics; m != nil {
+				m.Counter("snap.checkpoints").Add(1)
+				m.Counter("snap.checkpoint_bytes").Add(int64(len(c.enc)))
 			}
 		}
-		if killAt == math.MaxInt64 && allDone() {
-			break
+		fs.nextCkpt += fs.fo.CheckpointEvery
+	}
+	if T == fs.killAt {
+		fs.killAt = math.MaxInt64
+		if err := fs.failover(); err != nil {
+			return false, err
 		}
 	}
-
-	return assembleFleet(fr, cfg, scheds, offsets, records, ordered)
+	return fs.killAt == math.MaxInt64 && f.allDone(), nil
 }
 
-// failover performs the kill-time recovery and returns the grown fleet
-// slices.
-func failover(fr *FleetResult, cfg Config, kind preempt.Kind, fo FailoverConfig,
-	pool *snapshot.Pool, scheds []*scheduler, done []bool, offsets []int64,
-	ckpts []*ckpt, slabOf map[int]int,
-	hook func(*scheduler, int)) ([]*scheduler, []bool, []int64, []*ckpt, error) {
-
-	kd := fo.KillDevice
-	kill := fo.KillCycle
-	ks := scheds[kd]
-	fo.decide(fr, FleetEvent{Cycle: kill, What: "kill", Device: kd, Job: -1,
+// failover performs the kill-time recovery.
+func (fs *fleetRun) failover() error {
+	f, kill := fs.f, fs.fo.KillCycle
+	dead := f.devices[fs.fo.KillDevice]
+	f.decide(FleetEvent{Cycle: kill, What: "kill", Device: dead.id, Job: -1,
 		Detail: fmt.Sprintf("device state lost at cycle %d", kill)})
-	done[kd] = true
-	if ks == nil {
-		return scheds, done, offsets, ckpts, nil
+	if !dead.alive() {
+		return nil
 	}
-	scheds[kd] = nil // the dead device never runs again
+	survivor := func(d *device) bool { return d != dead }
+	hasSurvivor := f.route(survivor) != nil
 
-	var survivors []int
-	for di := 0; di < len(scheds); di++ {
-		if di != kd && scheds[di] != nil {
-			survivors = append(survivors, di)
-		}
-	}
-
-	c := ckpts[kd]
-	useRestore := preempt.Relocatable(kind) && c != nil
-	var carry, readmit []*runJob
-	if useRestore {
-		// Checkpoint-time classification: post-checkpoint progress on
-		// the dead device is rolled back wholesale.
-		for i, j := range ks.jobs {
-			if i < len(c.meta.jobs) && c.meta.jobs[i].launchIdx >= 0 {
-				carry = append(carry, j)
-			} else {
-				readmit = append(readmit, j)
-			}
-		}
-	} else {
-		// No usable checkpoint: every job with device state re-runs.
-		for _, j := range ks.jobs {
-			if j.launch != nil {
-				carry = append(carry, j)
-			} else {
-				readmit = append(readmit, j)
-			}
-		}
-		if len(survivors) == 0 {
-			// Nowhere to re-admit: the rerun replays the whole partition.
-			carry = append(carry, readmit...)
-			sort.SliceStable(carry, func(i, j int) bool {
-				if carry[i].job.Arrival != carry[j].job.Arrival {
-					return carry[i].job.Arrival < carry[j].job.Arrival
-				}
-				return carry[i].job.ID < carry[j].job.ID
-			})
-			readmit = nil
-		}
-	}
-
-	newID := -1
-	if len(carry) > 0 {
+	// Checkpoint-time classification when the image can be restored:
+	// post-checkpoint progress on the dead device is rolled back
+	// wholesale. Otherwise every job with device state re-runs.
+	c := dead.ckpt
+	useRestore := preempt.Relocatable(f.kind) && c != nil
+	var carry, orphans []*runJob
+	for i, rj := range dead.s.jobs {
+		launched := rj.launch != nil
 		if useRestore {
-			rs, res, err := restoreFrom(c, cfg, kind, ks.jobs, pool)
-			if err != nil {
-				return nil, nil, nil, nil, fmt.Errorf("sched: restoring device %d checkpoint: %w", kd, err)
-			}
-			newID = len(scheds)
-			hook(rs, newID)
-			scheds = append(scheds, rs)
-			done = append(done, false)
-			offsets = append(offsets, 0) // resumes the checkpoint timeline
-			ckpts = append(ckpts, nil)
-			what := "restore-cold"
-			if res.Outcome.Warm {
-				what = "restore-warm"
-			}
-			fr.Restore = &res.Outcome
-			fo.decide(fr, FleetEvent{Cycle: kill, What: what, Device: newID, Job: -1,
-				Detail: fmt.Sprintf("epoch %d from cycle %d: %d jobs, setup %d + transfer %d cycles",
-					c.epoch, c.cycle, len(carry), res.Outcome.SetupCycles, res.Outcome.TransferCycles)})
-			if cfg.Metrics != nil {
-				cfg.Metrics.Counter("snap.restore_"+map[bool]string{true: "warm", false: "cold"}[res.Outcome.Warm]).Add(1)
-			}
-			// Settle the speculative restore's deferred validation now:
-			// the image is authoritative, so this must pass — a failure
-			// is an infrastructure error, never silent.
-			if err := res.Validate(); err != nil {
-				return nil, nil, nil, nil, fmt.Errorf("sched: restored device %d failed validation: %w", kd, err)
-			}
+			launched = i < len(c.meta.jobs) && c.meta.jobs[i].launchIdx >= 0
+		}
+		if launched {
+			carry = append(carry, rj)
 		} else {
-			var rerun []Job
-			for _, rj := range carry {
-				rerun = append(rerun, rj.job)
+			orphans = append(orphans, rj)
+		}
+	}
+	if !useRestore && !hasSurvivor {
+		// Nowhere to re-admit: the rerun replays the whole partition.
+		carry, orphans = append(carry, orphans...), nil
+	}
+
+	var nd *device
+	switch {
+	case len(carry) == 0:
+		dead.retire()
+	case useRestore:
+		var res *snapshot.Restored
+		var err error
+		if nd, res, _, err = f.relocate(dead, c); err != nil {
+			return err
+		}
+		fs.fr.Restore = &res.Outcome
+		f.decide(FleetEvent{Cycle: kill, What: "restore-" + warmCold(res.Outcome.Warm), Device: nd.id, Job: -1,
+			Detail: fmt.Sprintf("epoch %d from cycle %d: %d jobs, setup %d + transfer %d cycles",
+				c.epoch, c.cycle, len(carry), res.Outcome.SetupCycles, res.Outcome.TransferCycles)})
+	default:
+		dead.retire()
+		var err error
+		if nd, err = f.newDevice(kill); err != nil { // recovery work starts at the kill
+			return err
+		}
+		for _, rj := range carry {
+			if err := f.admit(nd, rj.job, rj.job.Arrival); err != nil {
+				return err
 			}
-			rs, err := newScheduler(cfg, kind, rerun, slabOf)
-			if err != nil {
-				return nil, nil, nil, nil, fmt.Errorf("sched: rerunning device %d jobs: %w", kd, err)
-			}
-			newID = len(scheds)
-			hook(rs, newID)
-			scheds = append(scheds, rs)
-			done = append(done, false)
-			offsets = append(offsets, kill) // recovery work starts at the kill
-			ckpts = append(ckpts, nil)
-			fo.decide(fr, FleetEvent{Cycle: kill, What: "rerun", Device: newID, Job: -1,
-				Detail: fmt.Sprintf("%d jobs replay from scratch (no restorable checkpoint under %v)", len(carry), kind)})
-			if cfg.Metrics != nil {
-				cfg.Metrics.Counter("snap.reruns").Add(1)
-			}
+		}
+		f.decide(FleetEvent{Cycle: kill, What: "rerun", Device: nd.id, Job: -1,
+			Detail: fmt.Sprintf("%d jobs replay from scratch (no restorable checkpoint under %v)", len(carry), f.kind)})
+		if m := f.cfg.Metrics; m != nil {
+			m.Counter("snap.reruns").Add(1)
 		}
 	}
 
-	targets := survivors
-	if len(targets) == 0 && newID >= 0 {
-		targets = []int{newID}
+	// Orphans route to the surviving devices, or to the replacement when
+	// none survive; each readmit updates the load the next one sees.
+	target := func(d *device) bool { return d != nd }
+	if !hasSurvivor {
+		target = func(d *device) bool { return d == nd }
 	}
-	// Orphans route to the least-loaded target (fewest outstanding jobs,
-	// ties to the lower device id); each readmit updates the load the
-	// next one sees.
-	if len(readmit) > 0 && len(targets) == 0 {
-		return nil, nil, nil, nil, errors.New("sched: no device left to re-admit jobs onto")
-	}
-	for _, rj := range readmit {
-		tgt := leastLoaded(scheds, targets)
-		at := kill - offsets[tgt]
-		if at < 0 {
-			at = 0
+	for _, rj := range orphans {
+		tgt := f.route(target)
+		if tgt == nil {
+			return errors.New("sched: no device left to re-admit jobs onto")
 		}
-		if err := scheds[tgt].admitJob(rj.job, slabBase+slabOf[rj.job.ID]*cfg.SlabBytes, at); err != nil {
-			return nil, nil, nil, nil, err
+		if err := f.admit(tgt, rj.job, max(kill-tgt.offset, 0)); err != nil {
+			return err
 		}
-		done[tgt] = false
-		fo.decide(fr, FleetEvent{Cycle: kill, What: "readmit", Device: tgt,
-			Job: rj.job.ID, Detail: fmt.Sprintf("from dead device %d", kd)})
-		if cfg.Metrics != nil {
-			cfg.Metrics.Counter("snap.readmits").Add(1)
+		f.decide(FleetEvent{Cycle: kill, What: "readmit", Device: tgt.id,
+			Job: rj.job.ID, Detail: fmt.Sprintf("from dead device %d", dead.id)})
+		if m := f.cfg.Metrics; m != nil {
+			m.Counter("snap.readmits").Add(1)
 		}
 	}
-	return scheds, done, offsets, ckpts, nil
+	return nil
 }
 
-// leastLoaded picks the readmission target deterministically: the
-// device with the fewest outstanding (admitted, not yet complete) jobs;
-// ties resolve to the lower device id.
-func leastLoaded(scheds []*scheduler, targets []int) int {
-	tgt := targets[0]
-	for _, cand := range targets[1:] {
-		co := len(scheds[cand].jobs) - scheds[cand].nDone
-		to := len(scheds[tgt].jobs) - scheds[tgt].nDone
-		if co < to || (co == to && cand < tgt) {
-			tgt = cand
-		}
+// result folds every alive device's job state and the host-side
+// completion records into the FleetResult.
+func (fs *fleetRun) result() (*FleetResult, error) {
+	fr := fs.fr
+	for _, e := range fs.f.events {
+		fr.Decisions = append(fr.Decisions, e.(FleetEvent))
 	}
-	return tgt
-}
-
-// assembleFleet folds every surviving scheduler's job state and the
-// host-side completion records into the result.
-func assembleFleet(fr *FleetResult, cfg Config, scheds []*scheduler,
-	offsets []int64, records map[int]*jobRecord, ordered []Job) (*FleetResult, error) {
-	for di, s := range scheds {
-		if s == nil {
+	for _, dev := range fs.f.devices {
+		if !dev.alive() {
 			continue
 		}
-		off := offsets[di]
-		for _, rj := range s.jobs {
-			rec := records[rj.job.ID]
-			if rec == nil || !rec.seen {
+		for _, rj := range dev.s.jobs {
+			rec, ok := fs.records[rj.job.ID]
+			if !ok {
 				return nil, fmt.Errorf("sched: job %d never completed anywhere in the fleet", rj.job.ID)
 			}
-			if cfg.Verify && rec.verifyErr != nil {
-				return nil, fmt.Errorf("sched: job %d (%s, tenant %d) output corrupt after failover: %w",
-					rj.job.ID, rj.job.Kernel, rj.job.Tenant, rec.verifyErr)
-			}
-			st := JobStats{Job: rj.job, Start: rj.start + off, Complete: rj.complete + off,
+			st := JobStats{Job: rj.job, Start: rj.start + dev.offset, Complete: rj.complete + dev.offset,
 				Preemptions: rj.preemptions}
 			fr.Jobs = append(fr.Jobs, FleetJobStats{JobStats: st, Device: rec.device, Digest: rec.digest})
 			fr.TotalPreemptions += int64(rj.preemptions)
-			if st.Complete > fr.Makespan {
-				fr.Makespan = st.Complete
-			}
+			fr.Makespan = max(fr.Makespan, st.Complete)
 		}
 	}
-	if len(fr.Jobs) != len(ordered) {
-		return nil, fmt.Errorf("sched: fleet finished %d of %d jobs", len(fr.Jobs), len(ordered))
+	if len(fr.Jobs) != fs.jobs {
+		return nil, fmt.Errorf("sched: fleet finished %d of %d jobs", len(fr.Jobs), fs.jobs)
 	}
-	sort.SliceStable(fr.Jobs, func(i, j int) bool {
-		if fr.Jobs[i].Arrival != fr.Jobs[j].Arrival {
-			return fr.Jobs[i].Arrival < fr.Jobs[j].Arrival
-		}
-		return fr.Jobs[i].ID < fr.Jobs[j].ID
-	})
+	slices.SortStableFunc(fr.Jobs, func(a, b FleetJobStats) int { return cmpArrival(a.Job, b.Job) })
 	var plain []JobStats
 	for _, j := range fr.Jobs {
 		plain = append(plain, j.JobStats)
 	}
 	fr.Tenants = tenantStats(plain)
-	if cfg.Metrics != nil {
-		exportFleetMetrics(cfg.Metrics, fr)
+	if m := fs.f.cfg.Metrics; m != nil {
+		exportFleetMetrics(m, fr)
 	}
 	return fr, nil
 }

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -200,9 +201,9 @@ func TestFleetNoCheckpointFallsBackToRerun(t *testing.T) {
 func TestFleetConfigValidation(t *testing.T) {
 	jobs := fleetTrace(t, 31, 4)
 	cases := []FailoverConfig{
-		{Devices: 2, KillDevice: 2, KillCycle: 1000},  // kill id out of range
-		{Devices: 2, KillDevice: 0},                   // kill cycle unset
-		{Devices: 2, KillDevice: 0, KillCycle: -5},    // negative kill cycle
+		{Devices: 2, KillDevice: 2, KillCycle: 1000},      // kill id out of range
+		{Devices: 2, KillDevice: 0},                       // kill cycle unset
+		{Devices: 2, KillDevice: 0, KillCycle: -5},        // negative kill cycle
 		{Devices: 2, CheckpointEvery: -1, KillDevice: -1}, // negative cadence
 	}
 	for i, fo := range cases {
@@ -216,35 +217,133 @@ func TestFleetConfigValidation(t *testing.T) {
 	}
 }
 
-// TestLeastLoadedReadmit pins the load-aware readmission pick: orphans
-// go to the device with the fewest outstanding jobs, ties to the lower
-// id, and each pick sees the previous one's load.
+// TestLeastLoadedReadmit pins the one routing policy every driver uses
+// (failover readmission, serve admission, the migration destination):
+// the device with the fewest outstanding jobs, ties to the lower id,
+// restricted to the eligible set, and each pick sees the previous one's
+// load. Retired devices are never picked.
 func TestLeastLoadedReadmit(t *testing.T) {
-	mk := func(total, done int) *scheduler {
+	f := &fleet{}
+	mk := func(total, done int) *device {
 		s := &scheduler{nDone: done}
 		for i := 0; i < total; i++ {
 			s.jobs = append(s.jobs, &runJob{})
 		}
-		return s
+		dev := &device{id: len(f.devices), s: s}
+		f.devices = append(f.devices, dev)
+		return dev
 	}
-	scheds := []*scheduler{mk(5, 0), mk(3, 3), mk(4, 2)}
-	targets := []int{0, 1, 2}
-	if got := leastLoaded(scheds, targets); got != 1 {
-		t.Fatalf("leastLoaded = %d, want 1 (zero outstanding)", got)
+	mk(5, 0)
+	one := mk(3, 3)
+	mk(4, 2)
+	all := func(*device) bool { return true }
+	if got := f.route(all); got.id != 1 {
+		t.Fatalf("route = %d, want 1 (zero outstanding)", got.id)
 	}
-	// Simulate the readmit: device 1 takes the orphan, then ties device 2
-	// at 2 outstanding... no — device 1 now has 1, still lightest.
-	scheds[1].jobs = append(scheds[1].jobs, &runJob{})
-	if got := leastLoaded(scheds, targets); got != 1 {
-		t.Fatalf("after one readmit leastLoaded = %d, want 1", got)
+	// Device 1 takes the orphan and, at 1 outstanding, stays lightest.
+	one.s.jobs = append(one.s.jobs, &runJob{})
+	if got := f.route(all); got.id != 1 {
+		t.Fatalf("after one readmit route = %d, want 1", got.id)
 	}
-	scheds[1].jobs = append(scheds[1].jobs, &runJob{})
+	one.s.jobs = append(one.s.jobs, &runJob{})
 	// Device 1 and 2 both at 2 outstanding: the tie goes to the lower id.
-	if got := leastLoaded(scheds, targets); got != 1 {
-		t.Fatalf("tie leastLoaded = %d, want 1 (lower id)", got)
+	if got := f.route(all); got.id != 1 {
+		t.Fatalf("tie route = %d, want 1 (lower id)", got.id)
 	}
-	// Restrict targets: only 0 and 2 survive.
-	if got := leastLoaded(scheds, []int{0, 2}); got != 2 {
-		t.Fatalf("restricted leastLoaded = %d, want 2", got)
+	// Restrict the targets: only 0 and 2 are eligible.
+	if got := f.route(func(d *device) bool { return d.id != 1 }); got.id != 2 {
+		t.Fatalf("restricted route = %d, want 2", got.id)
+	}
+	// A retired device is out of every target set.
+	f.devices[2].s = nil
+	if got := f.route(func(d *device) bool { return d.id != 1 }); got.id != 0 {
+		t.Fatalf("route with device 2 retired = %d, want 0", got.id)
+	}
+	if got := f.route(func(d *device) bool { return d.id == 2 }); got != nil {
+		t.Fatalf("route over only a retired device = %d, want none", got.id)
+	}
+}
+
+// TestRunEqualsOneDeviceFleet pins the single-driver invariant: Run is
+// the fleet schedule on one device with no barriers, so on the head of
+// the sched-smoke trace (a preemption included) every technique's
+// per-job start, completion and preemption counts and the makespan
+// match RunFleet with one device and no kill.
+func TestRunEqualsOneDeviceFleet(t *testing.T) {
+	cfg := testSchedConfig()
+	cfg.Dev.NumSMs = 1
+	jobs, err := GenTrace(TraceConfig{Seed: 9, NumJobs: 3, NumTenants: 3, MaxPriority: 3, MeanGapCycles: 3000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var preemptions int64
+	for _, kind := range preempt.ExtendedKinds() {
+		r, err := Run(cfg, kind, jobs)
+		if err != nil {
+			t.Fatalf("%v: Run: %v", kind, err)
+		}
+		preemptions += r.TotalPreemptions
+		fr, err := RunFleet(cfg, kind, jobs, FailoverConfig{Devices: 1, KillDevice: -1})
+		if err != nil {
+			t.Fatalf("%v: RunFleet: %v", kind, err)
+		}
+		if r.Makespan != fr.Makespan || r.TotalPreemptions != fr.TotalPreemptions {
+			t.Errorf("%v: makespan/preemptions %d/%d vs fleet %d/%d",
+				kind, r.Makespan, r.TotalPreemptions, fr.Makespan, fr.TotalPreemptions)
+		}
+		if len(r.Jobs) != len(fr.Jobs) {
+			t.Fatalf("%v: %d jobs vs fleet %d", kind, len(r.Jobs), len(fr.Jobs))
+		}
+		for i := range r.Jobs {
+			if r.Jobs[i] != fr.Jobs[i].JobStats {
+				t.Errorf("%v: job %+v vs fleet %+v", kind, r.Jobs[i], fr.Jobs[i].JobStats)
+			}
+		}
+	}
+	if preemptions == 0 {
+		t.Fatal("no technique preempted: the trace no longer exercises a context switch")
+	}
+}
+
+// TestSlabTooSmallRefused pins the footprint check: a kernel whose
+// buffers span more than its slab is refused before anything simulates,
+// with an error naming the job, kernel, span and slab. Before the check
+// the 48-job single device and the 32-job fleet at seed 1 faulted past
+// the end of device memory, and the fleet at seed 9 completed although
+// an oversized kernel silently overwrote its neighbour's slab.
+func TestSlabTooSmallRefused(t *testing.T) {
+	cfg := testSchedConfig()
+	cfg.Dev.NumSMs = 1
+	fo := FailoverConfig{Devices: 2, CheckpointEvery: 20_000, KillDevice: 0, KillCycle: 200_000, WarmPool: 1}
+	wantErr := regexp.MustCompile(`job \d+ \(\w+\) spans \d+ bytes of device memory, more than its \d+-byte slab`)
+	for _, tc := range []struct {
+		name  string
+		seed  int64
+		jobs  int
+		fleet bool
+	}{
+		{"run-48", 9, 48, false},
+		{"fleet-32-seed1", 1, 32, true},
+		{"fleet-32-seed9", 9, 32, true},
+	} {
+		jobs, err := GenTrace(TraceConfig{Seed: tc.seed, NumJobs: tc.jobs, NumTenants: 3, MaxPriority: 3, MeanGapCycles: 3000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.fleet {
+			_, err = RunFleet(cfg, preempt.CTXBack, jobs, fo)
+		} else {
+			_, err = Run(cfg, preempt.CTXBack, jobs)
+		}
+		if err == nil || !wantErr.MatchString(err.Error()) {
+			t.Errorf("%s: err = %v, want the slab-footprint refusal", tc.name, err)
+		}
+	}
+	// Serve's slab pool is held to the same bound, checked up front.
+	sc := testSchedConfig()
+	sc.SlabBytes = 64 << 10
+	_, err := Serve(ServeConfig{Sched: sc, SlabsPerDevice: 4}, preempt.CTXBack, fleetTrace(t, 31, 4))
+	if err == nil || !wantErr.MatchString(err.Error()) {
+		t.Errorf("serve: err = %v, want the slab-footprint refusal", err)
 	}
 }

@@ -49,7 +49,6 @@ type hypervisor struct {
 	rearbs       int
 	migrations   int
 	starveBoosts int
-	epoch        uint64
 }
 
 func newHypervisor(cfg HypervisorConfig, tenants int) *hypervisor {
@@ -72,23 +71,22 @@ func (h *hypervisor) rearbitrate(sv *server, now int64) bool {
 	var total int64
 	for t := 0; t < tenants; t++ {
 		d := int64(sv.admit.tenantBacklog(t))
-		for _, dev := range sv.devices {
-			if dev.retired {
-				continue
+		for _, dev := range sv.f.devices {
+			if dev.alive() {
+				d += int64(dev.incomplete[t])
 			}
-			d += int64(dev.incomplete[t])
 		}
 		demand[t] = d
 		total += d
 	}
 
 	alive := 0
-	for _, dev := range sv.devices {
-		if !dev.retired {
+	for _, dev := range sv.f.devices {
+		if dev.alive() {
 			alive++
 		}
 	}
-	totalSMs := alive * sv.cfg.Sched.Dev.NumSMs
+	totalSMs := alive * sv.f.cfg.Dev.NumSMs
 
 	next := make([]int, tenants)
 	if total > 0 && totalSMs > 0 {
@@ -164,8 +162,8 @@ func (h *hypervisor) rearbitrate(sv *server, now int64) bool {
 	// Per-device quota: an even ceiling split of each tenant's share.
 	// The quota is a cap, not a reservation — ceilings may oversubscribe
 	// a device, which keeps the schedule work-conserving.
-	for _, dev := range sv.devices {
-		if dev.retired {
+	for _, dev := range sv.f.devices {
+		if !dev.alive() {
 			continue
 		}
 		q := make(map[int]int, tenants)
@@ -194,27 +192,30 @@ func (h *hypervisor) rearbitrate(sv *server, now int64) bool {
 // loaded device is checkpointed, its in-flight jobs restore onto a warm
 // shell (a fresh device id), and its not-yet-launched backlog re-enters
 // the admission queues to be re-routed by load. The donor retires. The
-// restored device is excluded from routing until the modeled restore
-// latency (setup + transfer) has elapsed.
+// restored device is excluded from routing — and from being the next
+// move's destination — until the modeled restore latency (setup +
+// transfer) has elapsed.
 func (h *hypervisor) maybeMigrate(sv *server, now int64) error {
-	if h.cfg.MigrateThreshold < 0 || !preempt.Relocatable(sv.kind) {
+	f := sv.f
+	if h.cfg.MigrateThreshold < 0 || !preempt.Relocatable(f.kind) {
 		return nil
 	}
-	var donor, lightest *serveDevice
+	var donor *device
 	alive := 0
-	for _, dev := range sv.devices {
-		if dev.retired {
+	for _, dev := range f.devices {
+		if !dev.alive() {
 			continue
 		}
 		alive++
 		if donor == nil || dev.outstanding() > donor.outstanding() {
 			donor = dev
 		}
-		if lightest == nil || dev.outstanding() < lightest.outstanding() {
-			lightest = dev
-		}
 	}
-	if alive < 2 || donor == nil ||
+	// A device still inside its restore block cannot take load: counting
+	// it as the lightest would move the donor's backlog onto a shell that
+	// cannot run it, and the next pass would move it straight back.
+	lightest := f.route(func(d *device) bool { return d.blockedUntil <= now })
+	if alive < 2 || lightest == nil ||
 		donor.outstanding()-lightest.outstanding() < h.cfg.MigrateThreshold {
 		return nil
 	}
@@ -230,66 +231,31 @@ func (h *hypervisor) maybeMigrate(sv *server, now int64) error {
 		return nil
 	}
 
-	h.epoch++
-	c, err := donor.s.checkpoint(h.epoch)
+	f.epoch++
+	c, err := donor.s.checkpoint(f.epoch)
 	if err != nil {
 		return fmt.Errorf("sched: migration checkpoint of device %d: %w", donor.id, err)
 	}
-	rs, res, err := restoreFrom(c, donor.s.cfg, sv.kind, donor.s.jobs, sv.pool)
+	nd, res, orphans, err := f.relocate(donor, c)
 	if err != nil {
-		return fmt.Errorf("sched: migration restore of device %d: %w", donor.id, err)
+		return err
 	}
-	if err := res.Validate(); err != nil {
-		return fmt.Errorf("sched: migrated device %d failed validation: %w", donor.id, err)
-	}
-	rs.quota = donor.s.quota
-
-	nd := &serveDevice{
-		id:           len(sv.devices),
-		s:            rs,
-		slabFree:     append([]bool(nil), donor.slabFree...),
-		slabOf:       make(map[int]int, len(donor.slabOf)),
-		incomplete:   append([]int(nil), donor.incomplete...),
-		blockedUntil: now + res.Outcome.RestoreCycles(),
-	}
-	for id, slab := range donor.slabOf {
-		nd.slabOf[id] = slab
-	}
-	sv.hookDevice(nd)
-
-	// Jobs without a checkpointed launch re-enter admission: free their
-	// slabs on the new device and queue them token-paid at their
-	// original arrival order.
-	requeued := 0
-	for i, jm := range c.meta.jobs {
-		if jm.launchIdx >= 0 || jm.complete != 0 {
-			// Launched jobs carry with the image; completed jobs were
-			// pruned from it and owe nothing.
-			continue
-		}
-		rj := donor.s.jobs[i]
-		nd.freeSlab(rj.job.ID)
-		nd.incomplete[rj.job.Tenant]--
+	nd.blockedUntil = now + res.Outcome.RestoreCycles()
+	// Orphans re-enter admission token-paid at their original arrival
+	// order.
+	for _, rj := range orphans {
 		sv.admit.requeue(rj.job)
-		requeued++
 	}
-
-	donor.retired = true
-	sv.devices = append(sv.devices, nd)
 	h.migrations++
-	warm := "cold"
-	if res.Outcome.Warm {
-		warm = "warm"
-	}
 	sv.log(now, "migrate", -1, nd.id,
 		fmt.Sprintf("from dev%d: carry=%d requeue=%d %s setup=%d transfer=%d",
-			donor.id, len(rs.jobs), requeued, warm,
+			donor.id, len(nd.s.jobs), len(orphans), warmCold(res.Outcome.Warm),
 			res.Outcome.SetupCycles, res.Outcome.TransferCycles))
-	if sv.pool != nil {
+	if f.pool != nil {
 		// Top the warm pool back up so the next migration can also land
 		// on a prepared shell; a refill failure only means a cold shell
 		// later, not a lost move.
-		_ = sv.pool.Refill(1)
+		_ = f.pool.Refill(1)
 	}
 	return nil
 }

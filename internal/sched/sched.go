@@ -11,14 +11,14 @@
 package sched
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 
-	"ctxback/internal/isa"
 	"ctxback/internal/kernels"
 	"ctxback/internal/preempt"
 	"ctxback/internal/sim"
@@ -264,7 +264,8 @@ type Config struct {
 	Params kernels.Params
 	// SlabBytes is the per-job device-memory slab; job i's buffers live
 	// at 4096 + i*SlabBytes so tenants never alias. 0 picks a default
-	// sized to the device memory and job count.
+	// sized to the device memory and job count (Serve: slab pool size).
+	// A job whose kernel's buffers span more than its slab is refused.
 	SlabBytes int
 	MaxCycles int64
 	// Verify checks every job's output against its CPU golden reference
@@ -351,12 +352,6 @@ type scheduler struct {
 	waiting []*runJob
 	nextArr int
 
-	// progOrder lists the distinct programs in first-launch order —
-	// exactly the order sim.ExportState serializes them, so a checkpoint
-	// of this device restores against progOrder positionally.
-	progOrder []*isa.Program
-	progSeen  map[*isa.Program]bool
-
 	// onComplete, when set, observes every job completion on this
 	// scheduler's device (the fleet layer copies results host-side at
 	// this point, so a later device kill cannot lose delivered output).
@@ -373,98 +368,51 @@ type scheduler struct {
 }
 
 // Run executes the arrival trace under one preemption technique and
-// returns the per-job and per-tenant statistics. The run is a single
-// deterministic simulation: no goroutines, no map-order dependence, no
-// wall-clock input.
+// returns the per-job and per-tenant statistics: the fleet driver with
+// one device and no barriers. The run is a single deterministic
+// simulation: no goroutines, no map-order dependence, no wall-clock
+// input.
 func Run(cfg Config, kind preempt.Kind, jobs []Job) (*Result, error) {
-	s, err := newScheduler(cfg, kind, jobs, nil)
+	fs, err := newFleetRun(cfg, kind, jobs, FailoverConfig{Devices: 1, KillDevice: -1})
 	if err != nil {
 		return nil, err
 	}
-	if err := s.run(); err != nil {
+	if err := fs.f.drive(fs); err != nil {
 		return nil, err
 	}
-	return s.result()
+	return fs.f.devices[0].s.result()
 }
 
+// slabBase is where the first memory slab starts. Job slabs never
+// alias, and a job keeps its slab wherever failover re-admits it:
+// kernel output depends on MemBase, so a stable slab is what makes a
+// failover run's final memory byte-comparable to the undisturbed run.
 const slabBase = 4096
 
-// slabIndex resolves a job's memory-slab index: its position in this
-// scheduler's admission order by default, or the fleet-wide index from
-// slabOf — a fleet assigns every job a GLOBAL slab index so a job keeps
-// the same device addresses wherever failover re-admits it (kernel
-// output depends on MemBase, so a stable slab is what makes the
-// failover run's final memory byte-comparable to the undisturbed run).
-func slabIndex(slabOf map[int]int, jobID, pos int) int {
-	if slabOf == nil {
-		return pos
+// cmpArrival orders jobs by (arrival, ID): the admission order of every
+// driver and the order every per-job table prints in.
+func cmpArrival(a, b Job) int {
+	if c := cmp.Compare(a.Arrival, b.Arrival); c != 0 {
+		return c
 	}
-	return slabOf[jobID]
+	return cmp.Compare(a.ID, b.ID)
 }
 
-func newScheduler(cfg Config, kind preempt.Kind, jobs []Job, slabOf map[int]int) (*scheduler, error) {
-	if len(jobs) == 0 {
-		return nil, errors.New("sched: empty trace")
-	}
-	if cfg.MaxCycles <= 0 {
-		cfg.MaxCycles = 2_000_000_000
-	}
-	if cfg.SlabBytes <= 0 {
-		cfg.SlabBytes = (cfg.Dev.GlobalMemBytes - slabBase) / len(jobs)
-		cfg.SlabBytes -= cfg.SlabBytes % 4096
-	}
-	maxIdx := 0
-	for i, j := range jobs {
-		if idx := slabIndex(slabOf, j.ID, i); idx > maxIdx {
-			maxIdx = idx
-		}
-	}
-	if slabBase+(maxIdx+1)*cfg.SlabBytes > cfg.Dev.GlobalMemBytes {
-		return nil, fmt.Errorf("sched: slab index %d x %d-byte slabs exceed device memory (%d bytes)",
-			maxIdx, cfg.SlabBytes, cfg.Dev.GlobalMemBytes)
-	}
+// byArrival returns a copy of jobs in (arrival, ID) order.
+func byArrival(jobs []Job) []Job {
+	out := slices.Clone(jobs)
+	slices.SortStableFunc(out, cmpArrival)
+	return out
+}
+
+// newScheduler builds a scheduler on a fresh device with an empty
+// admission list; insert adds the jobs.
+func newScheduler(cfg Config, kind preempt.Kind) (*scheduler, error) {
 	d, err := sim.NewDevice(cfg.Dev)
 	if err != nil {
 		return nil, err
 	}
-	s := &scheduler{cfg: cfg, d: d, mux: newMux(kind), kind: kind,
-		progSeen: make(map[*isa.Program]bool)}
-	// Jobs are admitted in (arrival, ID) order; ties resolve by ID so
-	// simultaneous arrivals admit deterministically.
-	ordered := append([]Job(nil), jobs...)
-	sort.SliceStable(ordered, func(i, j int) bool {
-		if ordered[i].Arrival != ordered[j].Arrival {
-			return ordered[i].Arrival < ordered[j].Arrival
-		}
-		return ordered[i].ID < ordered[j].ID
-	})
-	for i, j := range ordered {
-		p := cfg.Params
-		p.MemBase = slabBase + slabIndex(slabOf, j.ID, i)*cfg.SlabBytes
-		wl, err := kernels.ByAbbrev(j.Kernel, p)
-		if err != nil {
-			return nil, fmt.Errorf("sched: job %d: %w", j.ID, err)
-		}
-		// Each job fills every warp slot of its SM (the paper's
-		// persistent-kernel batch model): preemption is the ONLY way a
-		// newcomer gets on, and a parked job's pending blocks can never
-		// race its own resume.
-		occ, err := d.ComputeOccupancy(wl.Prog, p.WarpsPerBlock)
-		if err != nil {
-			return nil, fmt.Errorf("sched: job %d (%s): %w", j.ID, j.Kernel, err)
-		}
-		p.NumBlocks = occ.BlocksPerSM
-		wl, err = kernels.ByAbbrev(j.Kernel, p)
-		if err != nil {
-			return nil, fmt.Errorf("sched: job %d: %w", j.ID, err)
-		}
-		tech, err := preempt.New(kind, wl.Prog)
-		if err != nil {
-			return nil, fmt.Errorf("sched: job %d (%s) under %v: %w", j.ID, j.Kernel, kind, err)
-		}
-		s.mux.add(wl.Prog, tech)
-		s.jobs = append(s.jobs, &runJob{job: j, wl: wl, sm: -1, admitAt: j.Arrival})
-	}
+	s := &scheduler{cfg: cfg, d: d, mux: newMux(kind), kind: kind}
 	d.AttachRuntime(s.mux)
 	for i := 0; i < cfg.Dev.NumSMs; i++ {
 		s.slots = append(s.slots, &smSlot{id: i, state: smIdle})
@@ -472,21 +420,33 @@ func newScheduler(cfg Config, kind preempt.Kind, jobs []Job, slabOf map[int]int)
 	return s, nil
 }
 
-func (s *scheduler) log(cycle int64, what string, job, sm int) {
-	s.events = append(s.events, Event{Cycle: cycle, What: what, Job: job, SM: sm})
+// insert adds j, with its prepared workload, to compete for the device
+// from cycle at, keeping the pending tail in (admitAt, ID) order so the
+// admission loop stays deterministic. A fresh technique instance
+// replaces any previous registration for the program: slab exclusivity
+// guarantees the previous same-program job has completed, and per-job
+// techniques keep warp-keyed state (CKPT visit counts, saved contexts)
+// from leaking across jobs whose warp ids collide.
+func (s *scheduler) insert(j Job, wl *kernels.Workload, at int64) error {
+	tech, err := preempt.New(s.kind, wl.Prog)
+	if err != nil {
+		return fmt.Errorf("sched: job %d (%s) under %v: %w", j.ID, j.Kernel, s.kind, err)
+	}
+	s.mux.add(wl.Prog, tech)
+	pos := len(s.jobs)
+	for pos > s.nextArr {
+		p := s.jobs[pos-1]
+		if p.admitAt < at || (p.admitAt == at && p.job.ID < j.ID) {
+			break
+		}
+		pos--
+	}
+	s.jobs = slices.Insert(s.jobs, pos, &runJob{job: j, wl: wl, sm: -1, admitAt: at})
+	return nil
 }
 
-// run drives the whole schedule to completion and verifies it.
-func (s *scheduler) run() error {
-	done, err := s.runTo(math.MaxInt64)
-	if err != nil {
-		return err
-	}
-	if !done {
-		return fmt.Errorf("sched: run paused at cycle %d with %d/%d jobs complete",
-			s.d.Now(), s.nDone, len(s.jobs))
-	}
-	return s.verify()
+func (s *scheduler) log(cycle int64, what string, job, sm int) {
+	s.events = append(s.events, Event{Cycle: cycle, What: what, Job: job, SM: sm})
 }
 
 // runTo drives the event loop — admit arrivals, poll episode/launch
@@ -776,10 +736,6 @@ func (s *scheduler) launch(j *runJob, sm int) error {
 	}
 	j.launch = l
 	j.sm = sm
-	if !s.progSeen[j.wl.Prog] {
-		s.progSeen[j.wl.Prog] = true
-		s.progOrder = append(s.progOrder, j.wl.Prog)
-	}
 	return nil
 }
 
@@ -857,8 +813,18 @@ func (s *scheduler) assignIdle() (bool, error) {
 		if sl.state != smIdle {
 			continue
 		}
-		wi := s.bestStartable(sl, s.waiting)
-		pi := s.bestResumable(sl.parked)
+		// A waiting job must be physically hostable right now (see
+		// pickIdle for why a zero-block placement must never happen). A
+		// parked victim needs headroom to come back: retired warps of a
+		// partially-finished block keep their slots until the whole
+		// block completes, so an SM can carry residue from several parked
+		// tenants. The most recently parked victim always fits (its
+		// launch fit alongside all of today's residue), so skipping
+		// unresumable ones cannot deadlock.
+		wi := s.best(s.waiting, func(j *runJob) bool {
+			return s.d.CanHostBlock(sl.id, j.wl.Prog, j.wl.WarpsPerBlock)
+		})
+		pi := s.best(sl.parked, func(j *runJob) bool { return s.d.CanResume(j.episode) })
 		if wi < 0 && pi < 0 {
 			continue
 		}
@@ -895,48 +861,12 @@ func jobLess(a, b Job) bool {
 	return a.ID < b.ID
 }
 
-// bestIndex returns the index of the best job under jobLess, or -1.
-func bestIndex(js []*runJob) int {
+// best returns the index of the best job under jobLess among those
+// that fit and whose tenant is under its SM quota, or -1.
+func (s *scheduler) best(js []*runJob, fits func(*runJob) bool) int {
 	best := -1
 	for i, j := range js {
-		if best < 0 || jobLess(j.job, js[best].job) {
-			best = i
-		}
-	}
-	return best
-}
-
-// bestEligible is bestIndex restricted to jobs whose tenant is under
-// its SM quota; with no quota map it is exactly bestIndex.
-// bestResumable is bestEligible restricted to parked victims whose SM
-// has physical headroom to take them back right now. Retired warps of a
-// partially-finished block keep their slots until the whole block
-// completes, so an SM can carry residue from several parked tenants;
-// the most recently parked victim always fits (its launch fit alongside
-// all of today's residue), so skipping unresumable ones cannot deadlock.
-func (s *scheduler) bestResumable(parked []*runJob) int {
-	best := -1
-	for i, j := range parked {
-		if !s.d.CanResume(j.episode) {
-			continue
-		}
-		if s.quota != nil && !s.underQuota(j.job.Tenant) {
-			continue
-		}
-		if best < 0 || jobLess(j.job, parked[best].job) {
-			best = i
-		}
-	}
-	return best
-}
-
-func (s *scheduler) bestEligible(js []*runJob) int {
-	if s.quota == nil {
-		return bestIndex(js)
-	}
-	best := -1
-	for i, j := range js {
-		if !s.underQuota(j.job.Tenant) {
+		if !fits(j) || !s.underQuota(j.job.Tenant) {
 			continue
 		}
 		if best < 0 || jobLess(j.job, js[best].job) {
@@ -944,36 +874,4 @@ func (s *scheduler) bestEligible(js []*runJob) int {
 		}
 	}
 	return best
-}
-
-// bestStartable is bestEligible restricted to jobs slot sl can
-// physically host right now (see pickIdle for why a zero-block
-// placement must never happen).
-func (s *scheduler) bestStartable(sl *smSlot, js []*runJob) int {
-	best := -1
-	for i, j := range js {
-		if !s.d.CanHostBlock(sl.id, j.wl.Prog, j.wl.WarpsPerBlock) {
-			continue
-		}
-		if s.quota != nil && !s.underQuota(j.job.Tenant) {
-			continue
-		}
-		if best < 0 || jobLess(j.job, js[best].job) {
-			best = i
-		}
-	}
-	return best
-}
-
-func (s *scheduler) verify() error {
-	if !s.cfg.Verify {
-		return nil
-	}
-	for _, j := range s.jobs {
-		if err := j.wl.Verify(s.d); err != nil {
-			return fmt.Errorf("sched: job %d (%s, tenant %d) output corrupt after scheduling: %w",
-				j.job.ID, j.job.Kernel, j.job.Tenant, err)
-		}
-	}
-	return nil
 }

@@ -1,18 +1,12 @@
 package sched
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sort"
 	"strings"
-	"sync"
 
-	"ctxback/internal/isa"
-	"ctxback/internal/kernels"
 	"ctxback/internal/preempt"
-	"ctxback/internal/sim"
-	"ctxback/internal/snapshot"
 	"ctxback/internal/trace"
 )
 
@@ -118,81 +112,20 @@ type ServeResult struct {
 	Events []ServeEvent
 }
 
-// serveDevice wraps one scheduler with the serving layer's host-side
-// state: the slab pool bounding its outstanding jobs, per-tenant
-// admitted-incomplete counts, and the routing block after a migration
-// restore.
-type serveDevice struct {
-	id      int
-	s       *scheduler
-	retired bool
-	done    bool
-
-	slabFree   []bool      // index -> free
-	slabOf     map[int]int // jobID -> slab index
-	incomplete []int       // per tenant, admitted minus completed
-
-	blockedUntil int64 // routing exclusion after a migration restore
-
-	// completion buffer, filled inside the device's window advance
-	// (goroutine-local), drained at the barrier in device-id order.
-	completedWin []*runJob
-	verifyErr    error
-}
-
-func (d *serveDevice) outstanding() int { return len(d.s.jobs) - d.s.nDone }
-
-func (d *serveDevice) freeSlabs() int {
-	n := 0
-	for _, f := range d.slabFree {
-		if f {
-			n++
-		}
-	}
-	return n
-}
-
-// allocSlab takes the lowest free slab index.
-func (d *serveDevice) allocSlab(jobID int) (int, bool) {
-	for i, f := range d.slabFree {
-		if f {
-			d.slabFree[i] = false
-			d.slabOf[jobID] = i
-			return i, true
-		}
-	}
-	return 0, false
-}
-
-func (d *serveDevice) freeSlab(jobID int) {
-	if i, ok := d.slabOf[jobID]; ok {
-		d.slabFree[i] = true
-		delete(d.slabOf, jobID)
-	}
-}
-
-// server is the serving run's whole state.
+// server is Serve's barrier schedule: the front door, the hypervisor
+// and the per-tenant accounting on top of the fleet.
 type server struct {
-	cfg     ServeConfig
-	kind    preempt.Kind
-	tenants int
-
-	devices []*serveDevice
-	admit   *admitter
-	hyper   *hypervisor
-	pool    *snapshot.Pool
-
-	blocks map[string]int // abbrev -> occupancy-filled NumBlocks
-
-	// wlCache reuses the immutable part of an admission — the built
-	// workload with its host inputs, golden outputs and program — per
-	// (kernel, slab). See prepared() for why reuse is sound.
-	wlCache map[wlKey]*kernels.Workload
+	f     *fleet
+	cfg   ServeConfig
+	admit *admitter
+	hyper *hypervisor
 
 	trace   []Job // (arrival, ID) order
 	nextArr int
 
-	events []ServeEvent
+	// barrier clock and cadences
+	T, nextReport, nextHyper int64
+	lastProg, stall          int
 
 	// per-tenant accounting
 	arrived     []int
@@ -206,174 +139,24 @@ type server struct {
 }
 
 func (sv *server) log(cycle int64, what string, tenant, device int, detail string) {
-	e := ServeEvent{Cycle: cycle, What: what, Tenant: tenant, Device: device, Detail: detail}
-	if sv.cfg.DecisionSink != nil {
-		// Streaming mode: render through the same formatter the
-		// in-memory path uses and hand the line off; nothing accumulates.
-		sv.cfg.DecisionSink.WriteLine(e.String())
-		return
-	}
-	sv.events = append(sv.events, e)
+	sv.f.decide(ServeEvent{Cycle: cycle, What: what, Tenant: tenant, Device: device, Detail: detail})
 }
 
-// hookDevice wires a device's completion observer: copy the outcome
-// host-side, verify while the slab is still intact, release the slab.
-// Runs inside the device's window advance — it must touch only this
-// device's state.
-func (sv *server) hookDevice(dev *serveDevice) {
-	verify := sv.cfg.Sched.Verify
-	dev.s.onComplete = func(rj *runJob) {
-		if verify && dev.verifyErr == nil {
-			if err := rj.wl.Verify(dev.s.d); err != nil {
-				dev.verifyErr = fmt.Errorf("job %d (%s, tenant %d) on device %d: output corrupt: %w",
-					rj.job.ID, rj.job.Kernel, rj.job.Tenant, dev.id, err)
-			}
-		}
-		dev.freeSlab(rj.job.ID)
-		dev.incomplete[rj.job.Tenant]--
-		dev.completedWin = append(dev.completedWin, rj)
-	}
-}
-
-// newBareScheduler builds a scheduler with an empty admission list: the
-// serving layer admits jobs one at a time as the front door releases
-// them.
-func newBareScheduler(cfg Config, kind preempt.Kind) (*scheduler, error) {
-	if cfg.MaxCycles <= 0 {
-		cfg.MaxCycles = 2_000_000_000
-	}
-	if cfg.SlabBytes <= 0 {
-		return nil, errors.New("sched: bare scheduler needs explicit SlabBytes")
-	}
-	d, err := sim.NewDevice(cfg.Dev)
-	if err != nil {
-		return nil, err
-	}
-	s := &scheduler{cfg: cfg, d: d, mux: newMux(kind), kind: kind,
-		progSeen: make(map[*isa.Program]bool)}
-	d.AttachRuntime(s.mux)
-	for i := 0; i < cfg.Dev.NumSMs; i++ {
-		s.slots = append(s.slots, &smSlot{id: i, state: smIdle})
-	}
-	return s, nil
-}
-
-// admitPrepared inserts a job with an already-built workload at cycle
-// at. A fresh technique instance replaces any previous registration for
-// the program: slab exclusivity guarantees the previous same-program
-// job has completed, and per-job techniques keep warp-keyed state (CKPT
-// visit counts, saved contexts) from leaking across jobs whose warp ids
-// collide.
-func (s *scheduler) admitPrepared(j Job, wl *kernels.Workload, at int64) error {
-	tech, err := preempt.New(s.kind, wl.Prog)
-	if err != nil {
-		return fmt.Errorf("sched: admitting job %d under %v: %w", j.ID, s.kind, err)
-	}
-	s.mux.add(wl.Prog, tech)
-	rj := &runJob{job: j, wl: wl, sm: -1, admitAt: at}
-	pos := s.nextArr
-	for pos < len(s.jobs) &&
-		(s.jobs[pos].admitAt < at || (s.jobs[pos].admitAt == at && s.jobs[pos].job.ID < j.ID)) {
-		pos++
-	}
-	s.jobs = append(s.jobs, nil)
-	copy(s.jobs[pos+1:], s.jobs[pos:])
-	s.jobs[pos] = rj
-	return nil
-}
-
-// wlKey identifies one immutable occupancy-filled workload: the kernel
-// and the slab whose base address is baked into its launch closures.
-type wlKey struct {
-	abbrev string
-	slab   int
-}
-
-// prepared returns the occupancy-filled workload for (kernel, slab),
-// built once and reused across admissions. Reuse is sound because a
-// Workload is immutable after construction: the program, host inputs and
-// golden outputs are fixed, and Init/WarpSetup/Verify only read them
-// while writing per-episode device state. Per-launch technique state
-// (CTXBack flashback metadata, CKPT warp-keyed visit counts) lives in
-// the technique, which admitPrepared still builds fresh per admission.
-// Same-key reuse cannot overlap on one device — the slab allocator hands
-// each (device, slab) to one job at a time — and sharing one program
-// pointer across devices is already the norm under failover restore.
-func (sv *server) prepared(abbrev string, slab int) (*kernels.Workload, error) {
-	wk := wlKey{abbrev: abbrev, slab: slab}
-	if wl, ok := sv.wlCache[wk]; ok {
-		return wl, nil
-	}
-	p := sv.cfg.Sched.Params
-	p.MemBase = slabBase + slab*sv.cfg.Sched.SlabBytes
-	blocks, ok := sv.blocks[abbrev]
-	if !ok {
-		probe, err := kernels.ByAbbrev(abbrev, p)
-		if err != nil {
-			return nil, err
-		}
-		var dev *serveDevice
-		for _, d := range sv.devices {
-			if !d.retired {
-				dev = d
-				break
-			}
-		}
-		occ, err := dev.s.d.ComputeOccupancy(probe.Prog, p.WarpsPerBlock)
-		if err != nil {
-			return nil, fmt.Errorf("sched: occupancy for %s: %w", abbrev, err)
-		}
-		blocks = occ.BlocksPerSM
-		sv.blocks[abbrev] = blocks
-	}
-	p.NumBlocks = blocks
-	wl, err := kernels.ByAbbrev(abbrev, p)
-	if err != nil {
-		return nil, err
-	}
-	sv.wlCache[wk] = wl
-	return wl, nil
-}
-
-// route picks the admission destination: the least-loaded alive device
-// with a free slab that is past any migration restore latency. Ties go
-// to the lower device id. Returns nil when the fleet is at capacity.
-func (sv *server) route(now int64) *serveDevice {
-	var best *serveDevice
-	for _, dev := range sv.devices {
-		if dev.retired || dev.blockedUntil > now || dev.freeSlabs() == 0 {
-			continue
-		}
-		if best == nil || dev.outstanding() < best.outstanding() {
-			best = dev
-		}
-	}
-	return best
+// routable picks the admission destination: the least-loaded device
+// with a free slab that is past any migration restore latency. nil
+// when the fleet is at capacity.
+func (sv *server) routable(now int64) *device {
+	return sv.f.route(func(d *device) bool { return d.blockedUntil <= now && d.freeSlabs() > 0 })
 }
 
 // placeJob routes and admits one job at barrier now. The admission
 // drain verified capacity, so a routing failure is an internal error.
 func (sv *server) placeJob(j Job, now int64) error {
-	dev := sv.route(now)
+	dev := sv.routable(now)
 	if dev == nil {
 		return fmt.Errorf("sched: admitted job %d with no routable device", j.ID)
 	}
-	slab, ok := dev.allocSlab(j.ID)
-	if !ok {
-		return fmt.Errorf("sched: device %d routed without a free slab", dev.id)
-	}
-	wl, err := sv.prepared(j.Kernel, slab)
-	if err != nil {
-		dev.freeSlab(j.ID)
-		return err
-	}
-	if err := dev.s.admitPrepared(j, wl, now); err != nil {
-		dev.freeSlab(j.ID)
-		return err
-	}
-	dev.incomplete[j.Tenant]++
-	dev.done = false
-	return nil
+	return sv.f.admit(dev, j, now)
 }
 
 // Serve runs the serving loop to completion and folds the SLO tables.
@@ -382,16 +165,13 @@ func Serve(cfg ServeConfig, kind preempt.Kind, jobs []Job) (*ServeResult, error)
 	if err != nil {
 		return nil, err
 	}
-	if err := sv.run(); err != nil {
+	if err := sv.f.drive(sv); err != nil {
 		return nil, err
 	}
 	return sv.result(), nil
 }
 
 func newServer(cfg ServeConfig, kind preempt.Kind, jobs []Job) (*server, error) {
-	if len(jobs) == 0 {
-		return nil, errors.New("sched: empty trace")
-	}
 	if cfg.Devices <= 0 {
 		cfg.Devices = 2
 	}
@@ -401,20 +181,6 @@ func newServer(cfg ServeConfig, kind preempt.Kind, jobs []Job) (*server, error) 
 	if cfg.SlabsPerDevice <= 0 {
 		cfg.SlabsPerDevice = 8
 	}
-	if cfg.Sched.MaxCycles <= 0 {
-		cfg.Sched.MaxCycles = 2_000_000_000
-	}
-	if cfg.Sched.SlabBytes <= 0 {
-		cfg.Sched.SlabBytes = (cfg.Sched.Dev.GlobalMemBytes - slabBase) / cfg.SlabsPerDevice
-		cfg.Sched.SlabBytes -= cfg.Sched.SlabBytes % 4096
-	}
-	if cfg.Sched.SlabBytes <= 0 {
-		return nil, errors.New("sched: device memory too small for the slab pool")
-	}
-	if slabBase+cfg.SlabsPerDevice*cfg.Sched.SlabBytes > cfg.Sched.Dev.GlobalMemBytes {
-		return nil, fmt.Errorf("sched: %d slabs of %d bytes exceed device memory (%d)",
-			cfg.SlabsPerDevice, cfg.Sched.SlabBytes, cfg.Sched.Dev.GlobalMemBytes)
-	}
 	if cfg.ReportEvery <= 0 {
 		if cfg.Hypervisor.Every > 0 {
 			cfg.ReportEvery = cfg.Hypervisor.Every
@@ -422,283 +188,160 @@ func newServer(cfg ServeConfig, kind preempt.Kind, jobs []Job) (*server, error) 
 			cfg.ReportEvery = 16 * cfg.AdmitEvery
 		}
 	}
-
-	ordered := append([]Job(nil), jobs...)
-	sort.SliceStable(ordered, func(i, j int) bool {
-		if ordered[i].Arrival != ordered[j].Arrival {
-			return ordered[i].Arrival < ordered[j].Arrival
-		}
-		return ordered[i].ID < ordered[j].ID
-	})
-	tenants := 0
-	for _, j := range ordered {
-		if j.Tenant >= tenants {
-			tenants = j.Tenant + 1
-		}
+	f, err := newFleet(cfg.Sched, kind, jobs, cfg.SlabsPerDevice, cfg.WarmPool)
+	if err != nil {
+		return nil, err
 	}
-
-	sv := &server{cfg: cfg, kind: kind, tenants: tenants, trace: ordered,
-		blocks:  make(map[string]int),
-		wlCache: make(map[wlKey]*kernels.Workload),
-		admit:   newAdmitter(cfg.Admit, tenants),
-	}
-	if cfg.Hypervisor.enabled() {
-		sv.hyper = newHypervisor(cfg.Hypervisor, tenants)
-	}
-	sv.arrived = make([]int, tenants)
-	sv.completed = make([]int, tenants)
-	sv.preemptions = make([]int64, tenants)
-	sv.queueSum = make([]int64, tenants)
-	sv.turnarounds = make([][]int64, tenants)
-
+	f.poolSlabs, f.workers, f.sink = cfg.SlabsPerDevice, cfg.Workers, cfg.DecisionSink
 	for di := 0; di < cfg.Devices; di++ {
-		s, err := newBareScheduler(cfg.Sched, kind)
-		if err != nil {
-			return nil, fmt.Errorf("sched: device %d: %w", di, err)
-		}
-		dev := &serveDevice{id: di, s: s,
-			slabFree:   make([]bool, cfg.SlabsPerDevice),
-			slabOf:     make(map[int]int),
-			incomplete: make([]int, tenants),
-			done:       true,
-		}
-		for i := range dev.slabFree {
-			dev.slabFree[i] = true
-		}
-		sv.hookDevice(dev)
-		sv.devices = append(sv.devices, dev)
-	}
-
-	if cfg.WarmPool > 0 {
-		pool, err := snapshot.NewPool(cfg.Sched.Dev, cfg.WarmPool)
-		if err != nil {
+		if _, err := f.newDevice(0); err != nil {
 			return nil, err
 		}
-		sv.pool = pool
 	}
+	sv := &server{f: f, cfg: cfg, trace: byArrival(jobs),
+		admit:      newAdmitter(cfg.Admit, f.tenants),
+		nextReport: cfg.ReportEvery, nextHyper: math.MaxInt64, lastProg: -1,
+	}
+	// Every kernel of the trace must fit a slab: refuse an oversized one
+	// now rather than at its first admission.
+	seen := make(map[string]bool)
+	for _, j := range sv.trace {
+		if !seen[j.Kernel] {
+			seen[j.Kernel] = true
+			if _, err := f.prepare(f.devices[0], j, 0); err != nil {
+				return nil, err
+			}
+		}
+	}
+	if cfg.Hypervisor.enabled() {
+		sv.hyper = newHypervisor(cfg.Hypervisor, f.tenants)
+		sv.nextHyper = cfg.Hypervisor.Every
+	}
+	sv.arrived = make([]int, f.tenants)
+	sv.completed = make([]int, f.tenants)
+	sv.preemptions = make([]int64, f.tenants)
+	sv.queueSum = make([]int64, f.tenants)
+	sv.turnarounds = make([][]int64, f.tenants)
 	return sv, nil
 }
 
-// advance drives every alive unfinished device to the barrier, up to
-// Workers at a time. Devices share no mutable state during a window, so
-// the only cross-device order dependence is the merge, which run()
-// performs in device-id order.
-func (sv *server) advance(T int64) error {
-	type res struct {
-		done bool
-		err  error
+func (sv *server) next() int64 {
+	sv.T += sv.cfg.AdmitEvery
+	return sv.T
+}
+
+// complete folds one completion into the tenant accounting and retires
+// the finished launch from its device, so the device state — and with
+// it any migration checkpoint — stays bounded by the outstanding window,
+// not the lifetime job count. Without this a late migration's restore
+// transfer grows linearly with every job ever served.
+func (sv *server) complete(dev *device, c completion) error {
+	rj := c.rj
+	t := rj.job.Tenant
+	sv.completed[t]++
+	sv.preemptions[t] += int64(rj.preemptions)
+	sv.queueSum[t] += rj.start - rj.job.Arrival
+	sv.turnarounds[t] = append(sv.turnarounds[t], rj.complete-rj.job.Arrival)
+	sv.makespan = max(sv.makespan, rj.complete)
+	if rj.launch != nil {
+		if err := dev.s.d.RemoveLaunch(rj.launch); err != nil {
+			return fmt.Errorf("sched: pruning job %d: %w", rj.job.ID, err)
+		}
+		rj.launch = nil
 	}
-	var todo []*serveDevice
-	for _, dev := range sv.devices {
-		if !dev.retired && !dev.done {
-			todo = append(todo, dev)
+	return nil
+}
+
+// barrier runs one admission barrier: arrivals, admission and routing,
+// the hypervisor, the window report, termination and the watchdog.
+func (sv *server) barrier(T int64) (bool, error) {
+	// Pull arrivals up to the barrier into the front door.
+	for sv.nextArr < len(sv.trace) && sv.trace[sv.nextArr].Arrival <= T {
+		j := sv.trace[sv.nextArr]
+		sv.nextArr++
+		sv.arrived[j.Tenant]++
+		sv.admit.enqueue(j)
+	}
+
+	// Admission + routing, in global arrival order.
+	if err := sv.admit.drain(T,
+		func() bool { return sv.routable(T) != nil },
+		func(j Job) error { return sv.placeJob(j, T) },
+	); err != nil {
+		return false, err
+	}
+
+	// Hypervisor pass: rebalance first so fresh quotas land on the
+	// post-migration fleet.
+	if T >= sv.nextHyper {
+		if err := sv.hyper.maybeMigrate(sv, T); err != nil {
+			return false, err
+		}
+		sv.hyper.rearbitrate(sv, T)
+		for sv.nextHyper <= T {
+			sv.nextHyper += sv.cfg.Hypervisor.Every
 		}
 	}
-	results := make([]res, len(todo))
-	workers := sv.cfg.Workers
-	if workers <= 1 || len(todo) <= 1 {
-		for i, dev := range todo {
-			d, err := dev.s.runTo(T)
-			results[i] = res{d, err}
+
+	if T >= sv.nextReport {
+		sv.report(T, "")
+		for sv.nextReport <= T {
+			sv.nextReport += sv.cfg.ReportEvery
+		}
+	}
+
+	// Termination: trace drained, nothing deferred, every device idle.
+	if sv.nextArr == len(sv.trace) && sv.admit.backlog() == 0 && sv.f.allDone() {
+		sv.report(T, " final")
+		sv.duration = T
+		return true, nil
+	}
+
+	// Watchdog: the loop must make progress — completions, arrivals
+	// or admissions — or something is quota-wedged beyond what the
+	// hypervisor can fix.
+	prog := sv.nextArr
+	for t := range sv.completed {
+		prog += sv.completed[t] + sv.admit.admitted[t] + sv.admit.shed[t]
+	}
+	if prog == sv.lastProg {
+		// A device still inside its migration restore latency is a
+		// scheduled future event, not a stall: fast-forward the
+		// barrier clock to the unblock and keep going.
+		if next := sv.nextUnblock(T); next > T {
+			if sv.nextArr < len(sv.trace) && sv.trace[sv.nextArr].Arrival < next {
+				next = sv.trace[sv.nextArr].Arrival
+			}
+			if next-sv.cfg.AdmitEvery > T {
+				sv.T = next - sv.cfg.AdmitEvery
+			}
+			sv.stall = 0
+			return false, nil
+		}
+		sv.stall++
+		if sv.stall > 10_000 {
+			var b strings.Builder
+			for _, dev := range sv.f.devices {
+				if !dev.alive() {
+					fmt.Fprintf(&b, " dev%d{retired}", dev.id)
+					continue
+				}
+				fmt.Fprintf(&b, " dev%d{done=%v out=%d slabs=%d blocked=%d clock=%d}",
+					dev.id, dev.done, dev.outstanding(), dev.freeSlabs(),
+					dev.blockedUntil, dev.s.d.Now())
+			}
+			return false, fmt.Errorf("sched: serve made no progress for %d windows at cycle %d: backlog=%d%s",
+				sv.stall, T, sv.admit.backlog(), b.String())
 		}
 	} else {
-		if workers > len(todo) {
-			workers = len(todo)
-		}
-		var wg sync.WaitGroup
-		idx := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					d, err := todo[i].s.runTo(T)
-					results[i] = res{d, err}
-				}
-			}()
-		}
-		for i := range todo {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
+		sv.stall = 0
+		sv.lastProg = prog
 	}
-	for i, dev := range todo {
-		if results[i].err != nil {
-			return fmt.Errorf("sched: device %d: %w", dev.id, results[i].err)
-		}
-		dev.done = results[i].done
+	if T > sv.f.cfg.MaxCycles {
+		return false, fmt.Errorf("sched: serve exceeded MaxCycles (%d) with %d jobs outstanding",
+			sv.f.cfg.MaxCycles, sv.admit.backlog())
 	}
-	return nil
-}
-
-// mergeCompletions folds every device's window completions into the
-// tenant accounting, in device-id order.
-func (sv *server) mergeCompletions() error {
-	for _, dev := range sv.devices {
-		if dev.verifyErr != nil {
-			return fmt.Errorf("sched: %w", dev.verifyErr)
-		}
-		for _, rj := range dev.completedWin {
-			t := rj.job.Tenant
-			sv.completed[t]++
-			sv.preemptions[t] += int64(rj.preemptions)
-			sv.queueSum[t] += rj.start - rj.job.Arrival
-			sv.turnarounds[t] = append(sv.turnarounds[t], rj.complete-rj.job.Arrival)
-			if rj.complete > sv.makespan {
-				sv.makespan = rj.complete
-			}
-		}
-		// Retire the finished launches from the device so its state —
-		// and with it any migration checkpoint — stays bounded by the
-		// outstanding window, not the lifetime job count. Without this a
-		// late migration's restore transfer grows linearly with every
-		// job ever served.
-		for _, rj := range dev.completedWin {
-			if rj.launch == nil {
-				continue
-			}
-			if err := dev.s.d.RemoveLaunch(rj.launch); err != nil {
-				return fmt.Errorf("sched: pruning job %d: %w", rj.job.ID, err)
-			}
-			rj.launch = nil
-		}
-		dev.completedWin = dev.completedWin[:0]
-	}
-	return nil
-}
-
-// run is the barrier loop.
-func (sv *server) run() error {
-	var (
-		T          int64
-		nextReport = sv.cfg.ReportEvery
-		nextHyper  = int64(math.MaxInt64)
-		lastProg   = -1
-		stall      int
-	)
-	if sv.hyper != nil {
-		nextHyper = sv.cfg.Hypervisor.Every
-	}
-	for {
-		T += sv.cfg.AdmitEvery
-
-		if err := sv.advance(T); err != nil {
-			return err
-		}
-		if err := sv.mergeCompletions(); err != nil {
-			return err
-		}
-
-		// Pull arrivals up to the barrier into the front door.
-		for sv.nextArr < len(sv.trace) && sv.trace[sv.nextArr].Arrival <= T {
-			j := sv.trace[sv.nextArr]
-			sv.nextArr++
-			sv.arrived[j.Tenant]++
-			sv.admit.enqueue(j)
-		}
-
-		// Admission + routing, in global arrival order.
-		if err := sv.admit.drain(T,
-			func() bool { return sv.route(T) != nil },
-			func(j Job) error { return sv.placeJob(j, T) },
-		); err != nil {
-			return err
-		}
-
-		// Hypervisor pass: rebalance first so fresh quotas land on the
-		// post-migration fleet.
-		if T >= nextHyper {
-			if err := sv.hyper.maybeMigrate(sv, T); err != nil {
-				return err
-			}
-			sv.hyper.rearbitrate(sv, T)
-			for nextHyper <= T {
-				nextHyper += sv.cfg.Hypervisor.Every
-			}
-		}
-
-		if T >= nextReport {
-			admitted, shed := sv.admit.flushWindow()
-			for t, n := range shed {
-				if n > 0 {
-					sv.log(T, "shed", t, -1,
-						fmt.Sprintf("n=%d queue=%d", n, sv.admit.tenantBacklog(t)))
-				}
-			}
-			done := 0
-			for _, c := range sv.completed {
-				done += c
-			}
-			sv.log(T, "window", -1, -1,
-				fmt.Sprintf("admitted=%d backlog=%d done=%d", admitted, sv.admit.backlog(), done))
-			for nextReport <= T {
-				nextReport += sv.cfg.ReportEvery
-			}
-		}
-
-		// Termination: trace drained, nothing deferred, every device idle.
-		if sv.nextArr == len(sv.trace) && sv.admit.backlog() == 0 {
-			alldone := true
-			for _, dev := range sv.devices {
-				if !dev.retired && !dev.done {
-					alldone = false
-					break
-				}
-			}
-			if alldone {
-				sv.finalReport(T)
-				return nil
-			}
-		}
-
-		// Watchdog: the loop must make progress — completions, arrivals
-		// or admissions — or something is quota-wedged beyond what the
-		// hypervisor can fix.
-		prog := sv.nextArr
-		for _, c := range sv.completed {
-			prog += c
-		}
-		for _, a := range sv.admit.admitted {
-			prog += a
-		}
-		for _, s := range sv.admit.shed {
-			prog += s
-		}
-		if prog == lastProg {
-			// A device still inside its migration restore latency is a
-			// scheduled future event, not a stall: fast-forward the
-			// barrier clock to the unblock and keep going.
-			if next := sv.nextUnblock(T); next > T {
-				if sv.nextArr < len(sv.trace) && sv.trace[sv.nextArr].Arrival < next {
-					next = sv.trace[sv.nextArr].Arrival
-				}
-				if next-sv.cfg.AdmitEvery > T {
-					T = next - sv.cfg.AdmitEvery
-				}
-				stall = 0
-				continue
-			}
-			stall++
-			if stall > 10_000 {
-				var b strings.Builder
-				for _, dev := range sv.devices {
-					fmt.Fprintf(&b, " dev%d{retired=%v done=%v out=%d slabs=%d blocked=%d clock=%d}",
-						dev.id, dev.retired, dev.done, dev.outstanding(), dev.freeSlabs(),
-						dev.blockedUntil, dev.s.d.Now())
-				}
-				return fmt.Errorf("sched: serve made no progress for %d windows at cycle %d: backlog=%d%s",
-					stall, T, sv.admit.backlog(), b.String())
-			}
-		} else {
-			stall = 0
-			lastProg = prog
-		}
-		if T > sv.cfg.Sched.MaxCycles {
-			return fmt.Errorf("sched: serve exceeded MaxCycles (%d) with %d jobs outstanding",
-				sv.cfg.Sched.MaxCycles, sv.admit.backlog())
-		}
-	}
+	return false, nil
 }
 
 // nextUnblock returns the earliest future cycle at which a
@@ -706,8 +349,8 @@ func (sv *server) run() error {
 // blocked past now.
 func (sv *server) nextUnblock(now int64) int64 {
 	var next int64
-	for _, dev := range sv.devices {
-		if dev.retired || dev.blockedUntil <= now {
+	for _, dev := range sv.f.devices {
+		if !dev.alive() || dev.blockedUntil <= now {
 			continue
 		}
 		if next == 0 || dev.blockedUntil < next {
@@ -717,9 +360,10 @@ func (sv *server) nextUnblock(now int64) int64 {
 	return next
 }
 
-// finalReport emits the closing window aggregate so the log always ends
-// at the final barrier.
-func (sv *server) finalReport(T int64) {
+// report flushes the window aggregates into the decision log: one
+// shed line per tenant that shed, then the window line (suffix marks
+// the closing one, so the log always ends at the final barrier).
+func (sv *server) report(T int64, suffix string) {
 	admitted, shed := sv.admit.flushWindow()
 	for t, n := range shed {
 		if n > 0 {
@@ -731,8 +375,7 @@ func (sv *server) finalReport(T int64) {
 		done += c
 	}
 	sv.log(T, "window", -1, -1,
-		fmt.Sprintf("admitted=%d backlog=%d done=%d final", admitted, sv.admit.backlog(), done))
-	sv.duration = T
+		fmt.Sprintf("admitted=%d backlog=%d done=%d%s", admitted, sv.admit.backlog(), done, suffix))
 }
 
 // jain computes the Jain fairness index (sum x)^2 / (n * sum x^2) over
@@ -750,12 +393,15 @@ func jain(xs []float64) float64 {
 }
 
 func (sv *server) result() *ServeResult {
-	r := &ServeResult{Kind: sv.kind, Duration: sv.duration, Makespan: sv.makespan,
-		Events: sv.events}
+	r := &ServeResult{Kind: sv.f.kind, Duration: sv.duration, Makespan: sv.makespan}
+	for _, e := range sv.f.events {
+		r.Events = append(r.Events, e.(ServeEvent))
+	}
 	var all []int64
-	px := make([]float64, sv.tenants)
-	tx := make([]float64, sv.tenants)
-	for t := 0; t < sv.tenants; t++ {
+	tenants := sv.f.tenants
+	px := make([]float64, tenants)
+	tx := make([]float64, tenants)
+	for t := 0; t < tenants; t++ {
 		turns := append([]int64(nil), sv.turnarounds[t]...)
 		sort.Slice(turns, func(i, j int) bool { return turns[i] < turns[j] })
 		all = append(all, turns...)
@@ -799,7 +445,7 @@ func (sv *server) result() *ServeResult {
 
 // exportMetrics publishes serve counters and latency histograms.
 func (sv *server) exportMetrics(r *ServeResult) {
-	m := sv.cfg.Sched.Metrics
+	m := sv.f.cfg.Metrics
 	if m == nil {
 		return
 	}

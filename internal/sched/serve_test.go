@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ctxback/internal/preempt"
+	"ctxback/internal/sim"
 )
 
 func serveTestConfig(workers int) ServeConfig {
@@ -157,7 +158,7 @@ func TestServeQuotaProgress(t *testing.T) {
 //  2. Done warps of partially-finished blocks keep their slots until
 //     the block completes, so an SM can carry residue from several
 //     parked tenants and the best parked victim may not physically fit
-//     — fixed by bestResumable probing sim.CanResume before resuming.
+//     — fixed by assignIdle probing sim.CanResume before resuming.
 //
 // Verify is on: every completed job's output is checked on the device.
 func TestServeLightKernelChurn(t *testing.T) {
@@ -182,5 +183,46 @@ func TestServeLightKernelChurn(t *testing.T) {
 	}
 	if res.TotalPreemptions == 0 {
 		t.Fatalf("no preemptions: the churn regression needs mid-kernel preempts")
+	}
+}
+
+// TestServeMigrationSettles is the regression run for the runaway
+// migration: the hypervisor used to count a device still inside its
+// migration restore block as the lightest destination, so every pass
+// moved the donor's backlog onto a shell that could not run it yet
+// (carry=0, millions of transfer cycles each) and the run ping-ponged
+// until it ran out of memory. A blocked device is no destination, and
+// this configuration settles after exactly one move with every admitted
+// job completed.
+func TestServeMigrationSettles(t *testing.T) {
+	sc := DefaultSchedConfig()
+	sc.Dev = sim.TestConfig()
+	sc.Dev.GlobalMemBytes = 64 << 20
+	sc.Dev.NumSMs = 2
+	sc.MaxCycles = 200_000_000
+	sc.Params.ItersPerWarp = 2
+	jobs, err := GenTrace(TraceConfig{
+		Seed: 42, NumTenants: 4, MaxPriority: 3, MeanGapCycles: 4000, Process: "poisson",
+		DurationCycles: 160_000, BurstFraction: 0.25, DiurnalAmplitude: 0.3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Serve(ServeConfig{
+		Sched: sc, Devices: 2, WarmPool: 1,
+		Admit:      AdmitConfig{TokensPer100k: 150, MaxQueue: 12},
+		Hypervisor: HypervisorConfig{Every: 20_000, MigrateThreshold: 3},
+	}, preempt.CTXBack, jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Migrations != 1 {
+		t.Fatalf("migrations = %d, want 1; events:\n%s", res.Migrations, res.EventLog())
+	}
+	if res.Admitted+res.Shed != res.Arrived {
+		t.Fatalf("admitted(%d)+shed(%d) != arrived(%d)", res.Admitted, res.Shed, res.Arrived)
+	}
+	if res.Completed != res.Admitted {
+		t.Fatalf("completed(%d) != admitted(%d)", res.Completed, res.Admitted)
 	}
 }

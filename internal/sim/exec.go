@@ -640,7 +640,15 @@ func (d *Device) execContext(w *Warp, in *isa.Instruction) (effect, error) {
 	case isa.CtxLoadLDS:
 		lo, hi := w.LDSShareLo>>2, w.LDSShareHi>>2
 		if len(ctx.LDS) != hi-lo {
-			return eff, d.fault(w, in, "LDS share size mismatch: saved %d words, share %d", len(ctx.LDS), hi-lo)
+			// A hook-time save (a CKPT checkpoint, an SM-flush entry
+			// snapshot) taken before the signal covers the warp's
+			// launch-time slice; coverOrphanLDSShares may have widened the
+			// coverage since. Restore the save into the slice it came from.
+			own := w.Prog.LDSBytes / len(w.launch.blocks[w.BlockID].warps) >> 2
+			if len(ctx.LDS) != own {
+				return eff, d.fault(w, in, "LDS share size mismatch: saved %d words, share %d", len(ctx.LDS), hi-lo)
+			}
+			lo, hi = w.WarpInBlk*own, (w.WarpInBlk+1)*own
 		}
 		copy(w.LDS.Data[lo:hi], ctx.LDS)
 		eff.memBytes = (hi - lo) * 4
