@@ -1,7 +1,6 @@
 package artifact
 
 import (
-	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -22,24 +21,16 @@ const (
 // EncodeEntry frames a payload for disk: magic, format version, the key
 // echo section and the payload section, each with an FNV-1a 64 trailer.
 func EncodeEntry(key *Key, payload []byte) []byte {
-	kw := NewWriter()
-	kw.Str(key.kind)
-	kw.Bytes(key.blob)
-	echo := kw.Data()
-
-	out := make([]byte, 0, len(magic)+2+2*(2+4+8)+len(echo)+len(payload))
-	out = append(out, magic...)
-	out = binary.LittleEndian.AppendUint16(out, formatVersion)
-	out = appendSection(out, secKey, echo)
-	out = appendSection(out, secPayload, payload)
-	return out
-}
-
-func appendSection(out []byte, id uint16, body []byte) []byte {
-	out = binary.LittleEndian.AppendUint16(out, id)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(body)))
-	out = append(out, body...)
-	return binary.LittleEndian.AppendUint64(out, fnv1a64(body))
+	w := NewWriter()
+	w.Grow(len(magic) + 2 + 2*(2+4+8) + 8 + len(key.kind) + len(key.blob) + len(payload))
+	w.Raw([]byte(magic))
+	w.U16(formatVersion)
+	w.Section(secKey, func(w *Writer) {
+		w.Str(key.kind)
+		w.Bytes(key.blob)
+	})
+	w.Section(secPayload, func(w *Writer) { w.Raw(payload) })
+	return w.Data()
 }
 
 // DecodeEntry validates a container and returns the echoed key and the
@@ -47,26 +38,24 @@ func appendSection(out []byte, id uint16, body []byte) []byte {
 // treat any error as a miss.
 func DecodeEntry(data []byte) (Key, []byte, error) {
 	var key Key
-	if len(data) < len(magic)+2 {
-		return key, nil, fmt.Errorf("%w: %d-byte container", ErrTruncated, len(data))
+	r := NewReader(data)
+	m, v := r.Raw(len(magic)), r.U16()
+	if err := r.Err(); err != nil {
+		return key, nil, err
 	}
-	if string(data[:len(magic)]) != magic {
+	if string(m) != magic {
 		return key, nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
-	if v := binary.LittleEndian.Uint16(data[len(magic):]); v != formatVersion {
+	if v != formatVersion {
 		return key, nil, fmt.Errorf("%w: format version %d (want %d)", ErrStale, v, formatVersion)
 	}
-	off := len(magic) + 2
-	echo, off, err := readSection(data, off, secKey)
-	if err != nil {
+	echo, echoSum := r.Section(secKey)
+	payload, payloadSum := r.Section(secPayload)
+	if err := r.Close(); err != nil {
 		return key, nil, err
 	}
-	payload, off, err := readSection(data, off, secPayload)
-	if err != nil {
-		return key, nil, err
-	}
-	if off != len(data) {
-		return key, nil, fmt.Errorf("%w: %d trailing container bytes", ErrCorrupt, len(data)-off)
+	if Checksum(echo) != echoSum || Checksum(payload) != payloadSum {
+		return key, nil, fmt.Errorf("%w: section checksum", ErrCorrupt)
 	}
 	kr := NewReader(echo)
 	kind := kr.Str()
@@ -75,27 +64,6 @@ func DecodeEntry(data []byte) (Key, []byte, error) {
 		return key, nil, fmt.Errorf("%w: key echo: %v", ErrCorrupt, err)
 	}
 	return RawKey(kind, blob), payload, nil
-}
-
-func readSection(data []byte, off int, wantID uint16) (body []byte, next int, err error) {
-	if off+6 > len(data) {
-		return nil, 0, fmt.Errorf("%w: section header", ErrTruncated)
-	}
-	id := binary.LittleEndian.Uint16(data[off:])
-	n := int(binary.LittleEndian.Uint32(data[off+2:]))
-	off += 6
-	if id != wantID {
-		return nil, 0, fmt.Errorf("%w: section id %d (want %d)", ErrCorrupt, id, wantID)
-	}
-	if off+n+8 > len(data) {
-		return nil, 0, fmt.Errorf("%w: section %d body", ErrTruncated, id)
-	}
-	body = data[off : off+n]
-	sum := binary.LittleEndian.Uint64(data[off+n:])
-	if sum != fnv1a64(body) {
-		return nil, 0, fmt.Errorf("%w: section %d checksum", ErrCorrupt, id)
-	}
-	return body, off + n + 8, nil
 }
 
 // Store is one cache directory. The zero value is unusable; Open it.

@@ -1,9 +1,10 @@
 package isa
 
 import (
-	"encoding/binary"
 	"fmt"
 	"strings"
+
+	"ctxback/internal/artifact"
 )
 
 // Binary program encoding. The paper's runtime transfers kernel code and
@@ -37,86 +38,71 @@ func decodeReg(v uint32) Reg {
 
 // EncodeProgram serializes p.
 func EncodeProgram(p *Program) []byte {
-	var b []byte
-	b = append(b, encMagic...)
-	b = binary.LittleEndian.AppendUint16(b, encVersion)
-	b = binary.LittleEndian.AppendUint16(b, uint16(len(p.Name)))
-	b = append(b, p.Name...)
-	b = binary.LittleEndian.AppendUint32(b, uint32(p.NumVRegs))
-	b = binary.LittleEndian.AppendUint32(b, uint32(p.NumSRegs))
-	b = binary.LittleEndian.AppendUint32(b, uint32(p.LDSBytes))
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(p.Instrs)))
-	for i := range p.Instrs {
-		b = appendInstr(b, &p.Instrs[i])
-	}
-	return b
+	w := artifact.NewWriter()
+	w.Raw([]byte(encMagic))
+	w.U16(encVersion)
+	w.U16(uint16(len(p.Name)))
+	w.Raw([]byte(p.Name))
+	w.U32(uint32(p.NumVRegs))
+	w.U32(uint32(p.NumSRegs))
+	w.U32(uint32(p.LDSBytes))
+	writeInstrs(w, p.Instrs)
+	return w.Data()
 }
 
 // EncodeRoutine serializes a bare instruction sequence (a dedicated
 // preemption or resume routine). Used for transfer-size accounting.
 func EncodeRoutine(instrs []Instruction) []byte {
-	var b []byte
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(instrs)))
-	for i := range instrs {
-		b = appendInstr(b, &instrs[i])
-	}
-	return b
+	w := artifact.NewWriter()
+	writeInstrs(w, instrs)
+	return w.Data()
 }
 
-func appendInstr(b []byte, in *Instruction) []byte {
-	b = binary.LittleEndian.AppendUint16(b, uint16(in.Op))
-	var flags uint8
-	if in.NoOverflow {
-		flags |= flagNoOverflow
-	}
-	b = append(b, flags, uint8(in.MemSpace))
-	b = binary.LittleEndian.AppendUint32(b, encodeReg(in.Dst))
-	b = binary.LittleEndian.AppendUint32(b, uint32(in.Imm0))
-	b = binary.LittleEndian.AppendUint32(b, uint32(int32(in.Target)))
-	for s := 0; s < MaxSrcs; s++ {
-		b = append(b, uint8(in.Srcs[s].Kind), 0, 0, 0)
-		payload := in.Srcs[s].Imm
-		if in.Srcs[s].Kind == OperandReg {
-			payload = encodeReg(in.Srcs[s].Reg)
+func writeInstrs(w *artifact.Writer, instrs []Instruction) {
+	w.U32(uint32(len(instrs)))
+	for i := range instrs {
+		in := &instrs[i]
+		w.U16(uint16(in.Op))
+		var flags uint8
+		if in.NoOverflow {
+			flags |= flagNoOverflow
 		}
-		b = binary.LittleEndian.AppendUint32(b, payload)
+		w.U8(flags)
+		w.U8(uint8(in.MemSpace))
+		w.U32(encodeReg(in.Dst))
+		w.U32(uint32(in.Imm0))
+		w.I32(in.Target)
+		for s := 0; s < MaxSrcs; s++ {
+			w.Raw([]byte{uint8(in.Srcs[s].Kind), 0, 0, 0})
+			payload := in.Srcs[s].Imm
+			if in.Srcs[s].Kind == OperandReg {
+				payload = encodeReg(in.Srcs[s].Reg)
+			}
+			w.U32(payload)
+		}
 	}
-	return b
 }
 
 // DecodeProgram parses an EncodeProgram buffer.
 func DecodeProgram(data []byte) (*Program, error) {
-	r := &reader{data: data}
-	if magic := string(r.bytes(4)); magic != encMagic {
+	r := artifact.NewReader(data)
+	if magic := string(r.Raw(len(encMagic))); magic != encMagic {
 		return nil, fmt.Errorf("isa: bad magic %q", magic)
 	}
-	if v := r.u16(); v != encVersion {
+	if v := r.U16(); v != encVersion {
 		return nil, fmt.Errorf("isa: unsupported version %d", v)
 	}
-	nameLen := int(r.u16())
-	name := string(r.bytes(nameLen))
+	name := string(r.Raw(int(r.U16())))
 	p := &Program{
 		Name:     name,
-		NumVRegs: int(r.u32()),
-		NumSRegs: int(r.u32()),
-		LDSBytes: int(r.u32()),
+		NumVRegs: int(r.U32()),
+		NumSRegs: int(r.U32()),
+		LDSBytes: int(r.U32()),
 		Labels:   map[string]int{},
 	}
-	n := int(r.u32())
-	if r.err != nil {
-		return nil, r.err
-	}
-	if n < 0 || n > 1<<20 {
-		return nil, fmt.Errorf("isa: implausible instruction count %d", n)
-	}
-	p.Instrs = make([]Instruction, n)
-	for i := 0; i < n; i++ {
-		if err := readInstr(r, &p.Instrs[i]); err != nil {
-			return nil, fmt.Errorf("isa: instr %d: %w", i, err)
-		}
-	}
-	if r.err != nil {
-		return nil, r.err
+	var err error
+	if p.Instrs, err = readInstrs(r); err != nil {
+		return nil, err
 	}
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("isa: decoded program invalid: %w", err)
@@ -124,22 +110,46 @@ func DecodeProgram(data []byte) (*Program, error) {
 	return p, nil
 }
 
-func readInstr(r *reader, in *Instruction) error {
-	op := Op(r.u16())
-	if op == OpInvalid || op >= opCount {
-		return fmt.Errorf("bad opcode %d", op)
+// DecodeRoutine parses an EncodeRoutine buffer back into a bare
+// instruction sequence. Inverse of EncodeRoutine: device snapshots use
+// the pair to round-trip the routine stream of a warp captured mid
+// preemption or resume.
+func DecodeRoutine(data []byte) ([]Instruction, error) {
+	return readInstrs(artifact.NewReader(data))
+}
+
+// readInstrs decodes an instruction count and that many instruction
+// words, which must end the buffer. The count is bounded by the bytes
+// left, so a corrupt count fails before anything is allocated for it.
+func readInstrs(r *artifact.Reader) ([]Instruction, error) {
+	instrs := make([]Instruction, r.Count(InstrWordBytes))
+	for i := range instrs {
+		readInstr(r, &instrs[i])
+		if err := r.Err(); err != nil {
+			return nil, fmt.Errorf("isa: instr %d: %w", i, err)
+		}
 	}
-	in.Op = op
-	flags := r.u8()
-	in.NoOverflow = flags&flagNoOverflow != 0
-	in.MemSpace = int16(int8(r.u8()))
-	in.Dst = decodeReg(r.u32())
-	in.Imm0 = int32(r.u32())
-	in.Target = int(int32(r.u32()))
+	if err := r.Close(); err != nil {
+		return nil, fmt.Errorf("isa: %w", err)
+	}
+	return instrs, nil
+}
+
+// readInstr decodes one instruction word; a failure latches on r.
+func readInstr(r *artifact.Reader, in *Instruction) {
+	in.Op = Op(r.U16())
+	if in.Op == OpInvalid || in.Op >= opCount {
+		r.Fail(fmt.Errorf("bad opcode %d", in.Op))
+	}
+	in.NoOverflow = r.U8()&flagNoOverflow != 0
+	in.MemSpace = int16(int8(r.U8()))
+	in.Dst = decodeReg(r.U32())
+	in.Imm0 = int32(r.U32())
+	in.Target = r.I32()
 	for s := 0; s < MaxSrcs; s++ {
-		kind := OperandKind(r.u8())
-		r.bytes(3)
-		payload := r.u32()
+		kind := OperandKind(r.U8())
+		r.Raw(3)
+		payload := r.U32()
 		switch kind {
 		case OperandNone:
 			in.Srcs[s] = Operand{}
@@ -148,60 +158,9 @@ func readInstr(r *reader, in *Instruction) error {
 		case OperandImm:
 			in.Srcs[s] = Operand{Kind: OperandImm, Imm: payload}
 		default:
-			return fmt.Errorf("bad operand kind %d", kind)
+			r.Fail(fmt.Errorf("bad operand kind %d", kind))
 		}
 	}
-	return r.err
-}
-
-type reader struct {
-	data []byte
-	off  int
-	err  error
-}
-
-func (r *reader) bytes(n int) []byte {
-	if r.err != nil || r.off+n > len(r.data) {
-		if r.err == nil {
-			r.err = fmt.Errorf("isa: truncated at offset %d", r.off)
-		}
-		return make([]byte, n)
-	}
-	out := r.data[r.off : r.off+n]
-	r.off += n
-	return out
-}
-
-func (r *reader) u8() uint8   { return r.bytes(1)[0] }
-func (r *reader) u16() uint16 { return binary.LittleEndian.Uint16(r.bytes(2)) }
-func (r *reader) u32() uint32 { return binary.LittleEndian.Uint32(r.bytes(4)) }
-
-// DecodeRoutine parses an EncodeRoutine buffer back into a bare
-// instruction sequence. Inverse of EncodeRoutine: device snapshots use
-// the pair to round-trip the routine stream of a warp captured mid
-// preemption or resume.
-func DecodeRoutine(data []byte) ([]Instruction, error) {
-	r := &reader{data: data}
-	n := int(r.u32())
-	if r.err != nil {
-		return nil, r.err
-	}
-	if n < 0 || n > 1<<20 {
-		return nil, fmt.Errorf("isa: implausible routine length %d", n)
-	}
-	instrs := make([]Instruction, n)
-	for i := 0; i < n; i++ {
-		if err := readInstr(r, &instrs[i]); err != nil {
-			return nil, fmt.Errorf("isa: routine instr %d: %w", i, err)
-		}
-	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.off != len(data) {
-		return nil, fmt.Errorf("isa: %d trailing bytes after routine", len(data)-r.off)
-	}
-	return instrs, nil
 }
 
 // RoutineBytes returns the device-memory footprint of a routine when

@@ -589,12 +589,7 @@ func (r *FleetResult) Render() string {
 		fmt.Fprintf(&b, "  failover restore: %s shell, %s path, setup=%d transfer=%d cycles\n",
 			kind, path, r.Restore.SetupCycles, r.Restore.TransferCycles)
 	}
-	fmt.Fprintf(&b, "  %-8s %5s %11s %11s %12s %12s %12s\n",
-		"tenant", "jobs", "preempts", "mean-queue", "p50-turn", "p95-turn", "p99-turn")
-	for _, t := range r.Tenants {
-		fmt.Fprintf(&b, "  %-8d %5d %11d %11d %12d %12d %12d\n",
-			t.Tenant, t.Jobs, t.Preemptions, t.MeanQueueCycles, t.P50, t.P95, t.P99)
-	}
+	writeTenants(&b, r.Tenants)
 	fmt.Fprintf(&b, "  %-4s %-6s %-7s %4s %4s %10s %10s %10s %9s\n",
 		"job", "kernel", "tenant", "prio", "dev", "arrival", "complete", "turnaround", "preempts")
 	for _, j := range r.Jobs {

@@ -29,6 +29,7 @@ func TestPauseWindowEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	win := fs.f.devices[0].s
+	win.keepLog = true // as Run does
 	var stop int64
 	for {
 		stop += 2000

@@ -363,8 +363,12 @@ type scheduler struct {
 	// populated map must cover every admissible tenant.
 	quota map[int]int
 
-	events []Event
-	nDone  int
+	// keepLog records Result.Events. Only Run returns them; the fleet
+	// and serve schedules keep their own decision logs, so their
+	// devices record nothing.
+	keepLog bool
+	events  []Event
+	nDone   int
 }
 
 // Run executes the arrival trace under one preemption technique and
@@ -377,6 +381,7 @@ func Run(cfg Config, kind preempt.Kind, jobs []Job) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	fs.f.devices[0].s.keepLog = true
 	if err := fs.f.drive(fs); err != nil {
 		return nil, err
 	}
@@ -446,7 +451,9 @@ func (s *scheduler) insert(j Job, wl *kernels.Workload, at int64) error {
 }
 
 func (s *scheduler) log(cycle int64, what string, job, sm int) {
-	s.events = append(s.events, Event{Cycle: cycle, What: what, Job: job, SM: sm})
+	if s.keepLog {
+		s.events = append(s.events, Event{Cycle: cycle, What: what, Job: job, SM: sm})
+	}
 }
 
 // runTo drives the event loop — admit arrivals, poll episode/launch

@@ -226,3 +226,39 @@ func TestServeMigrationSettles(t *testing.T) {
 		t.Fatalf("completed(%d) != admitted(%d)", res.Completed, res.Admitted)
 	}
 }
+
+// TestDevicesKeepNoEvents: only Run returns scheduler events, so the
+// serve and fleet schedules must not accumulate them on their devices —
+// such a log grows with every admitted job and nothing reads it.
+func TestDevicesKeepNoEvents(t *testing.T) {
+	jobs := fleetTrace(t, 31, 3)
+	sv, err := newServer(serveTestConfig(1), preempt.CTXBack, jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sv.f.drive(sv); err != nil {
+		t.Fatal(err)
+	}
+	fs, err := newFleetRun(testSchedConfig(), preempt.CTXBack, jobs, FailoverConfig{Devices: 2, KillDevice: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.f.drive(fs); err != nil {
+		t.Fatal(err)
+	}
+	for name, f := range map[string]*fleet{"serve": sv.f, "fleet": fs.f} {
+		live := 0
+		for _, dev := range f.devices {
+			if dev.s == nil {
+				continue
+			}
+			live++
+			if n := len(dev.s.events); n > 0 {
+				t.Errorf("%s: device %d holds %d scheduler events", name, dev.id, n)
+			}
+		}
+		if live == 0 {
+			t.Errorf("%s: no live device left to check", name)
+		}
+	}
+}

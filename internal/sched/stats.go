@@ -145,12 +145,7 @@ func (r *Result) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s: makespan=%d cycles, preemptions=%d, turnaround p50/p95/p99 = %d/%d/%d\n",
 		r.Kind, r.Makespan, r.TotalPreemptions, r.P50, r.P95, r.P99)
-	fmt.Fprintf(&b, "  %-8s %5s %11s %11s %12s %12s %12s\n",
-		"tenant", "jobs", "preempts", "mean-queue", "p50-turn", "p95-turn", "p99-turn")
-	for _, t := range r.Tenants {
-		fmt.Fprintf(&b, "  %-8d %5d %11d %11d %12d %12d %12d\n",
-			t.Tenant, t.Jobs, t.Preemptions, t.MeanQueueCycles, t.P50, t.P95, t.P99)
-	}
+	writeTenants(&b, r.Tenants)
 	fmt.Fprintf(&b, "  %-4s %-6s %-7s %4s %10s %10s %10s %10s %9s\n",
 		"job", "kernel", "tenant", "prio", "arrival", "start", "complete", "turnaround", "preempts")
 	for _, j := range r.Jobs {
@@ -159,6 +154,16 @@ func (r *Result) Render() string {
 			j.TurnaroundCycles(), j.Preemptions)
 	}
 	return b.String()
+}
+
+// writeTenants writes the per-tenant table every report shares.
+func writeTenants(b *strings.Builder, tenants []TenantStats) {
+	fmt.Fprintf(b, "  %-8s %5s %11s %11s %12s %12s %12s\n",
+		"tenant", "jobs", "preempts", "mean-queue", "p50-turn", "p95-turn", "p99-turn")
+	for _, t := range tenants {
+		fmt.Fprintf(b, "  %-8d %5d %11d %11d %12d %12d %12d\n",
+			t.Tenant, t.Jobs, t.Preemptions, t.MeanQueueCycles, t.P50, t.P95, t.P99)
+	}
 }
 
 // EventLog renders the decision log, one event per line.

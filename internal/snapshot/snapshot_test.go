@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"ctxback/internal/artifact"
 	"ctxback/internal/kernels"
 	"ctxback/internal/preempt"
 	"ctxback/internal/sim"
@@ -421,10 +422,10 @@ func TestRejectShardWidth(t *testing.T) {
 
 	// Header (magic, version, epoch) and the meta section's id and length
 	// precede the payload, which opens with the device config.
-	cfg := &wbuf{}
+	cfg := artifact.NewWriter()
 	putConfig(cfg, d.Cfg)
 	const payloadOff = 4 + 2 + 8 + 2 + 4
-	widthOff := payloadOff + len(cfg.b)
+	widthOff := payloadOff + len(cfg.Data())
 	plen := int(binary.LittleEndian.Uint32(enc[payloadOff-4:]))
 	if got := binary.LittleEndian.Uint64(enc[widthOff:]); got != 1 {
 		t.Fatalf("encoded shard width %d, want 1", got)
@@ -433,7 +434,7 @@ func TestRejectShardWidth(t *testing.T) {
 	for _, width := range []int64{0, 2, -1} {
 		bad := append([]byte(nil), enc...)
 		binary.LittleEndian.PutUint64(bad[widthOff:], uint64(width))
-		binary.LittleEndian.PutUint64(bad[payloadOff+plen:], fnv1a64(bad[payloadOff:payloadOff+plen]))
+		binary.LittleEndian.PutUint64(bad[payloadOff+plen:], artifact.Checksum(bad[payloadOff:payloadOff+plen]))
 		var ce *CorruptError
 		if _, err := Decode(bad); !errors.As(err, &ce) || !strings.Contains(err.Error(), "shard width") {
 			t.Errorf("width %d: Decode = %v, want shard-width CorruptError", width, err)
