@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check bench bench-smoke eval trace-smoke evalcheck sched-smoke serve-smoke procs-diff snap-diff gen-smoke cache-diff loc
+.PHONY: all build test check bench bench-smoke eval trace-smoke evalcheck sched-smoke serve-smoke procs-diff snap-diff gen-smoke chaos-smoke cache-diff loc
 
 all: build
 
@@ -84,6 +84,17 @@ snap-diff:
 gen-smoke:
 	$(GO) run ./cmd/genrun -n 256 -procs 8
 	@echo "generated corpus differential sweep clean"
+
+# chaos-smoke diffs the quick fault-injection sweep (checksum, oracle and
+# snapshot modes at the default rates and seed) against the checked-in
+# golden: every cell's outcome letter and the totals line. benchtab
+# exits nonzero on any silent-wrong or unrecoverable episode; the diff
+# also catches a detection that appears or disappears, such as a
+# resume-integrity oracle that flags a clean resume.
+chaos-smoke:
+	$(GO) run ./cmd/benchtab -quick -chaos > /tmp/ctxback-chaos-quick.txt
+	diff -u testdata/chaos_quick.golden /tmp/ctxback-chaos-quick.txt
+	@echo "quick chaos sweep byte-identical to the golden"
 
 # loc prints the non-test Go line count of every package, then the
 # total. perfbench/ is its own module, so ./... leaves it out.

@@ -24,7 +24,7 @@
 package main
 
 import (
-	"errors"
+	"cmp"
 	"flag"
 	"fmt"
 	"math"
@@ -34,6 +34,7 @@ import (
 
 	"ctxback/internal/artifact"
 	"ctxback/internal/faults"
+	"ctxback/internal/harness"
 	"ctxback/internal/kernels"
 	"ctxback/internal/preempt"
 	"ctxback/internal/sim"
@@ -87,17 +88,13 @@ func main() {
 	}
 
 	params := kernels.Params{NumBlocks: *blocks, WarpsPerBlock: *warps, ItersPerWarp: *iters, Seed: 7}
-	factory := func() *kernels.Workload {
-		wl, err := kernels.ByAbbrev(strings.ToUpper(*kernel), params)
-		if err != nil {
-			fail(err)
-		}
-		return wl
+	wl, err := kernels.ByAbbrev(strings.ToUpper(*kernel), params)
+	if err != nil {
+		fail(err)
 	}
 	cfg := sim.DefaultConfig()
 
 	// Golden run.
-	wl := factory()
 	golden, err := sim.NewDevice(cfg)
 	if err != nil {
 		fail(err)
@@ -135,97 +132,67 @@ func main() {
 	}
 
 	signal := int64(*at * float64(golden.Now()))
-	faultCfg := faults.Preset(*faultSeed, *faultRate)
+	var faultCfg *faults.Config
+	if *faultRate > 0 {
+		fc := faults.Preset(*faultSeed, *faultRate)
+		faultCfg = &fc
+	}
 
-	// Preempted run, possibly under fault injection. A detected fault
-	// (transfer escalation or integrity violation) degrades gracefully:
-	// the episode re-runs fault-free through the BASELINE technique.
-	runErr := runPreempted(cfg, factory, kind, signal, *faultRate, faultCfg, *tailN, *tracePath, *ckpt)
-	if runErr == nil {
+	// Preempted run, possibly under fault injection. A fault detected
+	// in-band (harness.DetectedFault) degrades gracefully: the episode
+	// re-runs fault-free through the BASELINE technique.
+	detected, err := runPreempted(cfg, wl, kind, signal, faultCfg, *tailN, *tracePath, *ckpt)
+	if err != nil {
+		fail(err)
+	}
+	if detected == nil {
 		return
 	}
-	var xfer *sim.TransferFaultError
-	var integ *sim.IntegrityError
-	if !errors.As(runErr, &xfer) && !errors.As(runErr, &integ) {
-		fail(runErr)
-	}
-	fmt.Printf("fault detected in-band: %v\n", runErr)
+	fmt.Printf("fault detected in-band: %v\n", detected)
 	fmt.Println("degrading: re-running the episode fault-free through BASELINE")
-	if err := runPreempted(cfg, factory, preempt.Baseline, signal, 0, faults.Config{}, 0, "", false); err != nil {
-		fail(fmt.Errorf("BASELINE fallback failed: %w", err))
+	if detected, err := runPreempted(cfg, wl, preempt.Baseline, signal, nil, 0, "", false); err != nil || detected != nil {
+		fail(fmt.Errorf("BASELINE fallback failed: %w", cmp.Or(err, detected)))
 	}
 }
 
-// runPreempted runs one preemption episode end to end and verifies the
-// final output against the CPU reference. Lost preemption signals are
-// re-raised (bounded); detected faults surface as the returned error.
-// A non-empty tracePath attaches an event recorder to the device and
-// writes the episode timeline as Chrome trace-event JSON after the run.
-func runPreempted(cfg sim.Config, factory func() *kernels.Workload, kind preempt.Kind,
-	signal int64, faultRate float64, faultCfg faults.Config, tail int,
-	tracePath string, checkpoint bool) error {
-	wl := factory()
-	tech, err := preempt.New(kind, wl.Prog)
-	if err != nil {
-		return err
-	}
-	d, err := sim.NewDevice(cfg)
-	if err != nil {
-		return err
-	}
-	if faultRate > 0 {
-		if err := d.InjectFaults(faultCfg); err != nil {
-			return err
+// runPreempted runs one preemption episode end to end through the
+// harness episode driver, printing its walk-through, and verifies the
+// final output against the CPU reference. detected is an in-band fault
+// detection; err is any other failure. A non-empty tracePath attaches
+// an event recorder to the device and writes the episode timeline as
+// Chrome trace-event JSON after the run.
+func runPreempted(cfg sim.Config, wl *kernels.Workload, kind preempt.Kind, signal int64,
+	faultCfg *faults.Config, tail int, tracePath string, checkpoint bool) (detected, err error) {
+	var (
+		tr  *sim.Tracer
+		rec *trace.Recorder
+	)
+	e := harness.Episode{Cfg: cfg, MaxCycles: 1 << 40, Workload: wl, Kind: kind, Signal: signal,
+		Faults: faultCfg, Complete: true}
+	e.Setup = func(d *sim.Device) {
+		if tail > 0 {
+			tr = d.EnableTrace(tail)
+		}
+		if tracePath != "" {
+			rec = trace.NewRecorder()
+			d.AttachRecorder(rec)
 		}
 	}
-	var tr *sim.Tracer
-	if tail > 0 {
-		tr = d.EnableTrace(tail)
+	e.OnLost = func(attempt int) {
+		fmt.Printf("preemption signal lost (attempt %d), re-raising\n", attempt)
 	}
-	var rec *trace.Recorder
-	if tracePath != "" {
-		rec = trace.NewRecorder()
-		d.AttachRecorder(rec)
-	}
-	d.AttachRuntime(tech)
-	if _, err := wl.Launch(d); err != nil {
-		return err
-	}
-	if err := d.RunToCycle(signal, 1<<40); err != nil {
-		return err
-	}
-	var ep *sim.Episode
-	for attempt := 0; ; attempt++ {
-		ep, err = d.Preempt(0, tech)
-		if err == nil {
-			break
+	e.Parked = func(pk *harness.Parked) error {
+		ep := pk.Ep
+		fmt.Printf("preempted SM 0 at cycle %d with %v: %d warps, latency %d cycles (%.2f us), %d context bytes\n",
+			signal, kind, len(ep.Victims), ep.PreemptLatencyCycles(),
+			cfg.CyclesToMicros(ep.PreemptLatencyCycles()), ep.SavedBytes())
+		if !checkpoint {
+			return nil
 		}
-		if errors.Is(err, sim.ErrSignalLost) && attempt < 8 {
-			fmt.Printf("preemption signal lost (attempt %d), re-raising\n", attempt+1)
-			continue
-		}
-		return err
-	}
-	if err := d.RunUntil(ep.Saved, 1<<40); err != nil {
-		return err
-	}
-	fmt.Printf("preempted SM 0 at cycle %d with %v: %d warps, latency %d cycles (%.2f us), %d context bytes\n",
-		signal, kind, len(ep.Victims), ep.PreemptLatencyCycles(),
-		cfg.CyclesToMicros(ep.PreemptLatencyCycles()), ep.SavedBytes())
-	var validate func() error
-	if checkpoint {
-		wl2 := factory()
-		_, enc := snapshot.Capture(d, 1)
-		tech2, err := preempt.New(kind, wl2.Prog)
+		_, enc := snapshot.Capture(pk.Device, 1)
+		res, err := pk.Restore(kind, wl.Prog, enc, enc, 1)
 		if err != nil {
 			return err
-		}
-		res, err := snapshot.Restore(nil, enc, enc, 1, tech2, wl2.Prog)
-		if err != nil {
-			return err
-		}
-		if len(res.Index.Episodes) != 1 {
-			return fmt.Errorf("restored %d episodes, want 1", len(res.Index.Episodes))
 		}
 		path := "synchronous"
 		if res.Outcome.Speculative {
@@ -233,34 +200,34 @@ func runPreempted(cfg sim.Config, factory func() *kernels.Workload, kind preempt
 		}
 		fmt.Printf("checkpointed whole device (%d bytes) and restored it onto a cold shell (%s path): setup %d + transfer %d cycles\n",
 			len(enc), path, res.Outcome.SetupCycles, res.Outcome.TransferCycles)
-		d, ep, wl, validate = res.Device, res.Index.Episodes[0], wl2, res.Validate
+		return nil
 	}
-	if err := d.Resume(ep); err != nil {
-		return err
+	run, err := e.Run()
+	switch {
+	case err != nil:
+		return nil, err
+	case run.Drained:
+		return nil, fmt.Errorf("SM 0 drained before the signal at cycle %d: nothing to preempt", signal)
 	}
-	if err := d.RunUntil(ep.Finished, 1<<40); err != nil {
-		return err
+	if ep := run.Ep; ep != nil && ep.Finished() {
+		fmt.Printf("resumed: %d cycles (%.2f us) until all warps regained progress\n",
+			ep.ResumeCycles(), cfg.CyclesToMicros(ep.ResumeCycles()))
 	}
-	fmt.Printf("resumed: %d cycles (%.2f us) until all warps regained progress\n",
-		ep.ResumeCycles(), cfg.CyclesToMicros(ep.ResumeCycles()))
-	if err := d.Run(1 << 40); err != nil {
-		return err
+	if run.Detected != nil {
+		return run.Detected, nil
 	}
-	if validate != nil {
-		if err := validate(); err != nil {
-			return fmt.Errorf("speculative restore failed deferred validation: %w", err)
-		}
+	if checkpoint {
 		fmt.Println("speculative restore validated: deferred memory checksum matches")
 	}
-	if err := wl.Verify(d); err != nil {
-		return fmt.Errorf("preempted run failed verification: %w", err)
+	if run.VerifyErr != nil {
+		return nil, fmt.Errorf("preempted run failed verification: %w", run.VerifyErr)
 	}
 	fmt.Println("preempted run completed — output verified identical to golden reference")
-	if faultRate > 0 {
-		fs := d.FaultStats()
+	if faultCfg != nil {
+		fs := run.Device.FaultStats()
 		fmt.Printf("faults injected: %d total (%d transient save, %d transient restore, %d stalls); episode absorbed %d retries\n",
 			fs.Total(), fs.TransientSaveFaults, fs.TransientRestoreFaults, fs.Stalls,
-			ep.Faults.TransientRetries)
+			run.Ep.Faults.TransientRetries)
 	}
 	if tr != nil {
 		fmt.Printf("\nlast %d executed instructions:\n%s", tail, tr.Render())
@@ -268,16 +235,16 @@ func runPreempted(cfg sim.Config, factory func() *kernels.Workload, kind preempt
 	if rec != nil {
 		f, err := os.Create(tracePath)
 		if err != nil {
-			return fmt.Errorf("trace: %w", err)
+			return nil, fmt.Errorf("trace: %w", err)
 		}
 		if err := trace.WriteChromeTrace(f, rec.Events()); err != nil {
 			f.Close()
-			return fmt.Errorf("trace: %w", err)
+			return nil, fmt.Errorf("trace: %w", err)
 		}
 		if err := f.Close(); err != nil {
-			return fmt.Errorf("trace: %w", err)
+			return nil, fmt.Errorf("trace: %w", err)
 		}
 		fmt.Printf("wrote %d trace events to %s (open in chrome://tracing)\n", rec.Len(), tracePath)
 	}
-	return nil
+	return nil, nil
 }

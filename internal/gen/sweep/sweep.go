@@ -16,16 +16,16 @@
 package sweep
 
 import (
-	"errors"
+	"bytes"
+	"cmp"
 	"fmt"
 	"sort"
 	"sync"
 
-	"ctxback/internal/cfg"
 	"ctxback/internal/faults"
 	"ctxback/internal/gen"
-	"ctxback/internal/isa"
-	"ctxback/internal/liveness"
+	"ctxback/internal/harness"
+	"ctxback/internal/kernels"
 	"ctxback/internal/preempt"
 	"ctxback/internal/sim"
 	"ctxback/internal/snapshot"
@@ -238,34 +238,50 @@ func RunSeed(seed uint64, opt Options) *SeedResult {
 	}
 
 	// Forced mid-flight preemption under every technique.
-	var live *liveness.Info
+	wl := p.Workload()
+	var oracle func(*sim.Warp) error
 	if on(seed, opt.IntegrityEvery) {
-		if g, err := cfg.Build(p.Prog); err == nil {
-			live = liveness.Analyze(g)
-		}
+		oracle, _ = harness.NewOracle(wl)
 	}
 	for _, kind := range opt.Kinds {
 		count := res.kind(kind)
+		if _, err := preempt.New(kind, p.Prog); err != nil {
+			// Expected for SM-flushing (and Chimera) on non-idempotent
+			// programs; the sweep records the refusal rather than failing.
+			count.Skipped++
+			continue
+		}
 		for fi, frac := range opt.SignalFracs {
 			signal := int64(frac * float64(goldenCycles))
 			if signal < 1 {
 				signal = 1
 			}
-			snapTrip := on(seed, opt.SnapshotEvery) && fi == 0 && preempt.Relocatable(kind)
-			outcome, err := runEpisode(p, opt, kind, signal, live, snapTrip, res)
-			switch outcome {
-			case episodeSkipped:
-				count.Skipped++
-			case episodeDrained:
-				count.Drained++
-			case episodePass:
-				count.Pass++
-			case episodeFail:
+			e := harness.Episode{Cfg: opt.Cfg, MaxCycles: opt.MaxCycles, Workload: wl, Kind: kind,
+				Signal: signal, Oracle: oracle, Complete: true}
+			if oracle != nil {
+				res.IntegrityRuns++
+			}
+			if on(seed, opt.SnapshotEvery) && fi == 0 && preempt.Relocatable(kind) {
+				e.Parked = func(pk *harness.Parked) error {
+					res.SnapshotRuns++
+					if err := snapshotRoundTrip(pk.Device); err != nil {
+						res.fail(kind, "snapshot", err)
+					}
+					return nil
+				}
+			}
+			run, err := e.Run()
+			if err == nil {
+				err = cmp.Or(run.Detected, run.VerifyErr)
+			}
+			switch {
+			case err != nil:
 				count.Fail++
 				res.fail(kind, fmt.Sprintf("episode@%.2f", frac), err)
-			}
-			if outcome == episodeSkipped {
-				break // construction failed; fracs won't change that
+			case run.Drained:
+				count.Drained++
+			default:
+				count.Pass++
 			}
 		}
 	}
@@ -274,7 +290,7 @@ func RunSeed(seed uint64, opt Options) *SeedResult {
 	// technique with the seed. The episode must end clean, absorbed, or
 	// detected-and-degraded — silent wrong output fails the seed.
 	if on(seed, opt.ChaosEvery) && len(opt.Kinds) > 0 && goldenCycles > 1 {
-		runChaos(p, opt, goldenCycles, res)
+		runChaos(wl, opt, goldenCycles, res)
 	}
 	return res
 }
@@ -283,26 +299,21 @@ func RunSeed(seed uint64, opt Options) *SeedResult {
 // context corruption, lost/duplicated signals) into one forced episode
 // and classifies the outcome the way the harness chaos experiment does,
 // but against the golden interpreter instead of a CPU reference.
-func runChaos(p *gen.Program, opt Options, goldenCycles int64, res *SeedResult) {
+func runChaos(wl *kernels.Workload, opt Options, goldenCycles int64, res *SeedResult) {
 	// Rotate the technique with the seed; skip constructors that refuse
 	// this program (e.g. SM-flushing a non-idempotent kernel).
-	var tech preempt.Technique
-	var kind preempt.Kind
+	kind, found := preempt.Kind(0), false
 	for i := range opt.Kinds {
 		kind = opt.Kinds[(int(res.Seed)+i)%len(opt.Kinds)]
-		if t, err := preempt.New(kind, p.Prog); err == nil {
-			tech = t
+		if _, err := preempt.New(kind, wl.Prog); err == nil {
+			found = true
 			break
 		}
 	}
-	if tech == nil {
+	if !found {
 		return
 	}
 	res.ChaosRuns++
-	signal := goldenCycles / 2
-	if signal < 1 {
-		signal = 1
-	}
 	// Alternate between the configured rate and a light one-tenth rate,
 	// the same split the harness chaos experiment sweeps: heavy rates
 	// exercise detection and degradation, light rates the in-episode
@@ -312,104 +323,31 @@ func runChaos(p *gen.Program, opt Options, goldenCycles int64, res *SeedResult) 
 		rate /= 10
 	}
 	fcfg := faults.Preset(faults.DeriveSeed(res.Seed, 0xC4A05), rate)
-
-	d, err := sim.NewDevice(opt.Cfg)
-	if err != nil {
+	e := harness.Episode{Cfg: opt.Cfg, MaxCycles: opt.MaxCycles, Workload: wl, Kind: kind,
+		Signal: max(goldenCycles/2, 1), Faults: &fcfg, Complete: true}
+	run, err := e.Run()
+	switch {
+	case err != nil:
 		res.fail(kind, "chaos", err)
-		return
-	}
-	if err := d.InjectFaults(fcfg); err != nil {
-		res.fail(kind, "chaos", err)
-		return
-	}
-	d.AttachRuntime(tech)
-	if _, err := p.Launch(d); err != nil {
-		res.fail(kind, "chaos", err)
-		return
-	}
-	if err := d.RunToCycle(signal, opt.MaxCycles); err != nil {
-		res.fail(kind, "chaos", fmt.Errorf("run to signal: %w", err))
-		return
-	}
-
-	degrade := func(detected error) {
+	case run.Detected != nil:
 		// Detected in-band: the episode abandons the device and the job
-		// re-runs fault-free from scratch (the sweep's analogue of the
-		// harness BASELINE fallback).
-		clean, err := runPlain(p, opt, func(d *sim.Device) {})
-		if err != nil {
-			res.fail(kind, "chaos-fallback", fmt.Errorf("after %v: %w", detected, err))
-			return
+		// re-runs through the BASELINE degradation loop.
+		if _, ok, err := harness.Degrade(e); err != nil {
+			res.fail(kind, "chaos-fallback", fmt.Errorf("after %v: %w", run.Detected, err))
+		} else if !ok {
+			res.fail(kind, "chaos-fallback", fmt.Errorf("after %v: every BASELINE fallback failed", run.Detected))
+		} else {
+			res.ChaosFallback++
 		}
-		if err := p.CheckDevice(clean); err != nil {
-			res.fail(kind, "chaos-fallback", fmt.Errorf("after %v: %w", detected, err))
-			return
-		}
-		res.ChaosFallback++
-	}
-
-	var ep *sim.Episode
-	reRaised := 0
-	for attempt := 0; ; attempt++ {
-		ep, err = d.Preempt(0, tech)
-		if err == nil {
-			break
-		}
-		if errors.Is(err, sim.ErrSignalLost) {
-			reRaised++
-			if attempt+1 >= 8 {
-				degrade(err)
-				return
-			}
-			continue
-		}
-		if errors.Is(err, sim.ErrDrained) {
-			// Nothing left to preempt; the remainder must still verify.
-			if err := d.Run(opt.MaxCycles); err != nil {
-				res.fail(kind, "chaos", err)
-			} else if err := p.CheckDevice(d); err != nil {
-				res.fail(kind, "chaos", fmt.Errorf("silent wrong after drain: %w", err))
-			} else {
-				res.ChaosClean++
-			}
-			return
-		}
-		res.fail(kind, "chaos", fmt.Errorf("preempt: %w", err))
-		return
-	}
-	for _, phase := range []func() error{
-		func() error { return d.RunUntil(ep.Saved, opt.MaxCycles) },
-		func() error { return d.Resume(ep) },
-		func() error { return d.RunUntil(ep.Finished, opt.MaxCycles) },
-		func() error { return d.Run(opt.MaxCycles) },
-	} {
-		if err := phase(); err != nil {
-			if chaosDetected(err) {
-				degrade(err)
-			} else {
-				res.fail(kind, "chaos", err)
-			}
-			return
-		}
-	}
-	if err := p.CheckDevice(d); err != nil {
-		res.fail(kind, "chaos", fmt.Errorf("silent wrong: %w", err))
-		return
-	}
-	if reRaised+ep.Faults.TransientRetries+ep.Faults.AbsorbedDupSignals+ep.Faults.CorruptedContexts > 0 {
+	case run.VerifyErr != nil:
+		res.fail(kind, "chaos", fmt.Errorf("silent wrong: %w", run.VerifyErr))
+	case run.Drained:
+		res.ChaosClean++
+	case run.ReRaised+run.Ep.Faults.TransientRetries+run.Ep.Faults.AbsorbedDupSignals+run.Ep.Faults.CorruptedContexts > 0:
 		res.ChaosRecovered++
-	} else {
+	default:
 		res.ChaosClean++
 	}
-}
-
-// chaosDetected reports whether err is an in-band fault detection (vs
-// an infrastructure failure that must fail the seed).
-func chaosDetected(err error) bool {
-	var xfer *sim.TransferFaultError
-	var integ *sim.IntegrityError
-	return errors.As(err, &xfer) || errors.As(err, &integ) ||
-		errors.Is(err, sim.ErrSignalLost) || sim.IsExecutionFault(err)
 }
 
 func on(seed uint64, every int) bool {
@@ -433,77 +371,6 @@ func runPlain(p *gen.Program, opt Options, tweak func(d *sim.Device)) (*sim.Devi
 	return d, nil
 }
 
-type episodeOutcome int
-
-const (
-	episodePass episodeOutcome = iota
-	episodeDrained
-	episodeSkipped
-	episodeFail
-)
-
-// runEpisode forces one preempt/save/resume/finish episode at
-// signalCycle under kind and checks the completed run against the
-// interpreter. With snapTrip it also round-trips a whole-device
-// snapshot while the episode is parked.
-func runEpisode(p *gen.Program, opt Options, kind preempt.Kind, signalCycle int64,
-	live *liveness.Info, snapTrip bool, res *SeedResult) (episodeOutcome, error) {
-	tech, err := preempt.New(kind, p.Prog)
-	if err != nil {
-		// Expected for SM-flushing (and Chimera) on non-idempotent
-		// programs; the sweep records the refusal rather than failing.
-		return episodeSkipped, nil
-	}
-	d, err := sim.NewDevice(opt.Cfg)
-	if err != nil {
-		return episodeFail, err
-	}
-	d.AttachRuntime(tech)
-	if live != nil {
-		d.SetResumeChecker(integrityChecker(live, p.WarpsPerBlock))
-		res.IntegrityRuns++
-	}
-	launch, err := p.Launch(d)
-	if err != nil {
-		return episodeFail, err
-	}
-	if err := d.RunToCycle(signalCycle, opt.MaxCycles); err != nil {
-		return episodeFail, fmt.Errorf("run to signal: %w", err)
-	}
-	if launch.Done() {
-		return episodeDrained, nil
-	}
-	ep, err := d.Preempt(0, tech)
-	if err != nil {
-		if errors.Is(err, sim.ErrDrained) {
-			return episodeDrained, nil
-		}
-		return episodeFail, fmt.Errorf("preempt: %w", err)
-	}
-	if err := d.RunUntil(ep.Saved, opt.MaxCycles); err != nil {
-		return episodeFail, fmt.Errorf("save: %w", err)
-	}
-	if snapTrip {
-		res.SnapshotRuns++
-		if err := snapshotRoundTrip(d); err != nil {
-			res.fail(kind, "snapshot", err)
-		}
-	}
-	if err := d.Resume(ep); err != nil {
-		return episodeFail, fmt.Errorf("resume: %w", err)
-	}
-	if err := d.RunUntil(ep.Finished, opt.MaxCycles); err != nil {
-		return episodeFail, fmt.Errorf("replay: %w", err)
-	}
-	if err := d.Run(opt.MaxCycles); err != nil {
-		return episodeFail, fmt.Errorf("completion: %w", err)
-	}
-	if err := p.CheckDevice(d); err != nil {
-		return episodeFail, err
-	}
-	return episodePass, nil
-}
-
 // snapshotRoundTrip captures the parked device and checks the canonical
 // encode∘decode identity the downstream checksums depend on.
 func snapshotRoundTrip(d *sim.Device) error {
@@ -515,93 +382,8 @@ func snapshotRoundTrip(d *sim.Device) error {
 	if err != nil {
 		return fmt.Errorf("decode of fresh capture: %w", err)
 	}
-	if enc2 := snapshot.Encode(again); !equalBytes(enc, enc2) {
+	if enc2 := snapshot.Encode(again); !bytes.Equal(enc, enc2) {
 		return fmt.Errorf("decode∘encode not identity: %d bytes in, %d out", len(enc), len(enc2))
 	}
 	return nil
-}
-
-func equalBytes(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// integrityChecker is the resume-integrity oracle: a warp that resumes
-// exactly at its signal point must present its live-in architectural
-// state unchanged. Warps resuming elsewhere (deferral or flashback
-// targets, replayed checkpoints) are skipped — their progress position
-// legitimately differs.
-func integrityChecker(live *liveness.Info, warpsPerBlock int) func(w *sim.Warp) error {
-	return func(w *sim.Warp) error {
-		snap, rec := w.Snapshot(), w.Record()
-		if snap == nil || rec == nil {
-			return nil
-		}
-		if w.PC != rec.PCAtSignal || w.DynCount != rec.DynAtSignal {
-			return nil
-		}
-		fail := func(format string, args ...any) error {
-			return &sim.IntegrityError{WarpID: w.ID, Stage: "gen-oracle",
-				Detail: fmt.Sprintf(format, args...)}
-		}
-		// EXEC can be dead at the signal point (the instruction there
-		// overwrites it without reading it, e.g. the s_setexec of a
-		// reconvergence); a resume legitimately leaves it unrestored.
-		if live.LiveIn[rec.PCAtSignal].Has(isa.Exec) && w.Exec != snap.Exec {
-			return fail("EXEC %#x, snapshot %#x at pc %d", w.Exec, snap.Exec, w.PC)
-		}
-		for r := range live.LiveIn[rec.PCAtSignal] {
-			switch r.Class {
-			case isa.RegVector:
-				// A live vector register whose masked-out lanes cannot be
-				// observed below the signal point (no EXEC write or lane
-				// read crossed while live) is only readable on the lanes
-				// active at the signal; a resume may legitimately leave
-				// the dead lanes unrestored.
-				lanes := ^uint64(0)
-				if !live.EscIn[rec.PCAtSignal].Has(r) {
-					lanes = snap.Exec
-				}
-				for l, v := range w.VRegs[r.Index] {
-					if lanes&(1<<uint(l)) == 0 {
-						continue
-					}
-					if v != snap.VRegs[r.Index][l] {
-						return fail("v%d[%d] = %#x, snapshot %#x at pc %d", r.Index, l, v, snap.VRegs[r.Index][l], w.PC)
-					}
-				}
-			case isa.RegScalar:
-				if w.SRegs[r.Index] != snap.SRegs[r.Index] {
-					return fail("s%d = %#x, snapshot %#x at pc %d", r.Index, w.SRegs[r.Index], snap.SRegs[r.Index], w.PC)
-				}
-			case isa.RegSpecial:
-				switch r.Index {
-				case isa.SpecVCC:
-					if w.VCC != snap.VCC {
-						return fail("VCC %#x, snapshot %#x at pc %d", w.VCC, snap.VCC, w.PC)
-					}
-				case isa.SpecSCC:
-					if w.SCC != snap.SCC {
-						return fail("SCC %v, snapshot %v at pc %d", w.SCC, snap.SCC, w.PC)
-					}
-				}
-			}
-		}
-		if warpsPerBlock == 1 && len(snap.LDSShare) > 0 {
-			share := w.LDS.Data[w.LDSShareLo>>2 : w.LDSShareHi>>2]
-			for i, v := range share {
-				if v != snap.LDSShare[i] {
-					return fail("LDS[%d] = %#x, snapshot %#x", i, v, snap.LDSShare[i])
-				}
-			}
-		}
-		return nil
-	}
 }

@@ -31,11 +31,12 @@ func (p *Program) CheckDevice(d *sim.Device) error {
 	return nil
 }
 
-// Workload adapts the generated program to the kernels.Workload shape,
-// so every harness oracle built for the Table I kernels (chaos sweep,
-// episode measurement, snapshot capture helpers) runs unmodified over
-// the generated corpus. Verify checks the full memory image against the
-// golden interpreter.
+// Workload adapts the generated program to the kernels.Workload shape.
+// The differential sweep (internal/gen/sweep) runs every episode of the
+// corpus through it: the harness episode driver, its resume-integrity
+// oracle and its BASELINE degradation loop, the same code the Table I
+// evaluation and chaos sweep use. Verify checks the full memory image
+// against the golden interpreter.
 func (p *Program) Workload() *kernels.Workload {
 	return &kernels.Workload{
 		Abbrev:        fmt.Sprintf("GEN-%d", p.Seed),

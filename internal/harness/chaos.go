@@ -1,13 +1,9 @@
 package harness
 
 import (
-	"errors"
 	"fmt"
 
-	"ctxback/internal/cfg"
 	"ctxback/internal/faults"
-	"ctxback/internal/isa"
-	"ctxback/internal/liveness"
 	"ctxback/internal/preempt"
 	"ctxback/internal/sim"
 )
@@ -26,9 +22,9 @@ import (
 //   - mode "checksum": the per-warp save-time context checksum is
 //     verified before any corrupted buffer is consumed at resume.
 //   - mode "oracle": checksums are disabled and corruption must instead
-//     be caught by the resume-integrity oracle, which diffs the resumed
-//     warp's live-in registers, EXEC and LDS share against the
-//     architectural snapshot captured at the preemption signal. Only
+//     be caught by the resume-integrity oracle (NewOracle), which diffs
+//     what the resumed warp can still read against the architectural
+//     snapshot captured at the preemption signal. Only
 //     techniques that resume exactly at the signal point are swept in
 //     this mode (BASELINE, LIVE, CTXBack) — re-executing or deferring
 //     techniques resume elsewhere, where the snapshot cannot be diffed.
@@ -39,11 +35,9 @@ import (
 //     the resume-integrity oracle must between them catch every class;
 //     recovery re-restores from the authoritative image in-episode.
 //
-// Degradation: a detected fault abandons the device and re-runs the
-// whole episode through BASELINE — first with a salted fault seed (the
-// fault environment persists; a different schedule is drawn), then
-// fault-free. Only when both fallbacks fail is the episode
-// unrecoverable.
+// Every cell is one Episode; detection is DetectedFault, and a detected
+// cell degrades through Degrade, the BASELINE loop. Only when both of
+// its fallbacks fail is the episode unrecoverable.
 
 // ChaosOutcome classifies one fault-injected episode.
 type ChaosOutcome int
@@ -105,27 +99,16 @@ type ChaosOptions struct {
 	// finish exactly on a restored device. Only relocatable techniques
 	// (preempt.Relocatable) survive a snapshot trip.
 	SnapshotKinds []preempt.Kind
-	// SignalFrac places the preemption signal as a fraction of the
-	// golden run.
-	SignalFrac float64
-	// MaxSignalAttempts bounds re-raising a dropped preemption signal
-	// before escalating to the fallback path.
-	MaxSignalAttempts int
-	// FallbackSalt derives the fallback attempt's fault seed.
-	FallbackSalt uint64
 }
 
 // DefaultChaosOptions is the sweep used for EXPERIMENTS.md.
 func DefaultChaosOptions() ChaosOptions {
 	return ChaosOptions{
-		Seed:              1,
-		Rates:             []float64{0.02, 0.2},
-		Kinds:             preempt.Kinds(),
-		OracleKinds:       []preempt.Kind{preempt.Baseline, preempt.Live, preempt.CTXBack},
-		SnapshotKinds:     preempt.RelocatableKinds(),
-		SignalFrac:        0.5,
-		MaxSignalAttempts: 8,
-		FallbackSalt:      0xFA11BACC,
+		Seed:          1,
+		Rates:         []float64{0.02, 0.2},
+		Kinds:         preempt.Kinds(),
+		OracleKinds:   []preempt.Kind{preempt.Baseline, preempt.Live, preempt.CTXBack},
+		SnapshotKinds: preempt.RelocatableKinds(),
 	}
 }
 
@@ -170,217 +153,37 @@ func (r *ChaosReport) SilentWrong() int { return r.Counts[ChaosSilentWrong] }
 // Unrecoverable returns the number of episodes no fallback completed.
 func (r *ChaosReport) Unrecoverable() int { return r.Counts[ChaosUnrecoverable] }
 
-// chaosRun is the raw outcome of one episode attempt.
-type chaosRun struct {
-	detected                                  error // in-band detection, nil if none
-	verifyErr                                 error // final output vs the CPU reference
-	skipped                                   bool
-	retries, reRaised, dupAbsorbed, corrupted int
+// chaosSignalFrac places every chaos episode's preemption signal at
+// half the golden run.
+const chaosSignalFrac = 0.5
+
+// chaosEpisode is the episode of one chaos cell, before its faults and
+// oracle are set.
+func (r *Runner) chaosEpisode(p *prepared, kind preempt.Kind) Episode {
+	return Episode{Cfg: r.o.Cfg, MaxCycles: r.o.MaxCycles, Workload: p.wl, Kind: kind,
+		Signal: int64(chaosSignalFrac * float64(p.goldenCycles)), Complete: true}
 }
 
-// detectedFault reports whether err is an in-band fault detection (as
-// opposed to an infrastructure failure that should abort the sweep).
-// Execution faults count: corrupted state that steers a warp into an
-// illegal access traps before wrong output commits.
-func detectedFault(err error) bool {
-	var xfer *sim.TransferFaultError
-	var integ *sim.IntegrityError
-	return errors.As(err, &xfer) || errors.As(err, &integ) ||
-		errors.Is(err, sim.ErrSignalLost) || sim.IsExecutionFault(err)
-}
-
-// chaosChecker builds the resume-integrity oracle for one workload: at
-// the moment a warp regains its logical progress at the exact signal
-// position, its live-in registers, EXEC and (for single-warp blocks)
-// LDS share must match the snapshot captured when the signal was
-// observed. Warps resuming elsewhere (deferral targets) are skipped.
-func chaosChecker(live *liveness.Info, warpsPerBlock int) func(w *sim.Warp) error {
-	return func(w *sim.Warp) error {
-		snap, rec := w.Snapshot(), w.Record()
-		if snap == nil || rec == nil {
-			return nil
-		}
-		if w.PC != rec.PCAtSignal || w.DynCount != rec.DynAtSignal {
-			return nil
-		}
-		fail := func(format string, args ...any) error {
-			return &sim.IntegrityError{WarpID: w.ID, Stage: "oracle",
-				Detail: fmt.Sprintf(format, args...)}
-		}
-		if w.Exec != snap.Exec {
-			return fail("EXEC %#x, snapshot %#x at pc %d", w.Exec, snap.Exec, w.PC)
-		}
-		for r := range live.LiveIn[rec.PCAtSignal] {
-			switch r.Class {
-			case isa.RegVector:
-				for l, v := range w.VRegs[r.Index] {
-					if v != snap.VRegs[r.Index][l] {
-						return fail("v%d[%d] = %#x, snapshot %#x at pc %d", r.Index, l, v, snap.VRegs[r.Index][l], w.PC)
-					}
-				}
-			case isa.RegScalar:
-				if w.SRegs[r.Index] != snap.SRegs[r.Index] {
-					return fail("s%d = %#x, snapshot %#x at pc %d", r.Index, w.SRegs[r.Index], snap.SRegs[r.Index], w.PC)
-				}
-			case isa.RegSpecial:
-				switch r.Index {
-				case isa.SpecVCC:
-					if w.VCC != snap.VCC {
-						return fail("VCC diverged at pc %d", w.PC)
-					}
-				case isa.SpecSCC:
-					if w.SCC != snap.SCC {
-						return fail("SCC diverged at pc %d", w.PC)
-					}
-				}
-			}
-		}
-		if warpsPerBlock == 1 && len(snap.LDSShare) > 0 {
-			share := w.LDS.Data[w.LDSShareLo>>2 : w.LDSShareHi>>2]
-			for i, v := range share {
-				if v != snap.LDSShare[i] {
-					return fail("LDS[%d] = %#x, snapshot %#x", i, v, snap.LDSShare[i])
-				}
-			}
-		}
-		return nil
-	}
-}
-
-// chaosEpisode runs one preempt/resume episode under fault injection
-// and verifies the completed run. The returned error is infrastructure
-// failure only; fault detections land in chaosRun.detected.
-func (o *Options) chaosEpisode(p *prepared, kind preempt.Kind, signal int64,
-	fcfg *faults.Config, checker func(*sim.Warp) error, maxSignalAttempts int) (chaosRun, error) {
-	var run chaosRun
-	tech, err := preempt.New(kind, p.wl.Prog)
-	if err != nil {
-		return run, fmt.Errorf("%s/%v: %w", p.wl.Abbrev, kind, err)
-	}
-	d, err := sim.NewDevice(o.Cfg)
-	if err != nil {
-		return run, err
-	}
-	if fcfg != nil {
-		if err := d.InjectFaults(*fcfg); err != nil {
-			return run, err
-		}
-	}
-	if checker != nil {
-		d.SetResumeChecker(checker)
-	}
-	d.AttachRuntime(tech)
-	if _, err := p.wl.Launch(d); err != nil {
-		return run, err
-	}
-	if err := d.RunToCycle(signal, o.MaxCycles); err != nil {
-		return run, err // pre-signal execution injects no detectable faults
-	}
-
-	finish := func() (chaosRun, error) {
-		run.verifyErr = p.wl.Verify(d)
-		return run, nil
-	}
-	var ep *sim.Episode
-	for attempt := 0; ; attempt++ {
-		ep, err = d.Preempt(0, tech)
-		if err == nil {
-			break
-		}
-		if errors.Is(err, sim.ErrSignalLost) {
-			run.reRaised++
-			if attempt+1 >= maxSignalAttempts {
-				// Bounded redelivery exhausted: escalate to degradation.
-				run.detected = err
-				return run, nil
-			}
-			continue
-		}
-		if errors.Is(err, sim.ErrDrained) {
-			// SM 0 drained before the signal landed: nothing to preempt;
-			// the uninterrupted remainder must still verify.
-			run.skipped = true
-			if err := d.Run(o.MaxCycles); err != nil {
-				return run, err
-			}
-			return finish()
-		}
-		// Anything else is a real preemption failure, not a drain.
-		return run, err
-	}
-	step := func(runErr error) (done bool, fatal error) {
-		if runErr == nil {
-			return false, nil
-		}
-		if detectedFault(runErr) {
-			run.detected = runErr
-			return true, nil
-		}
-		return true, runErr
-	}
-	collect := func() {
-		run.retries = ep.Faults.TransientRetries
-		run.dupAbsorbed = ep.Faults.AbsorbedDupSignals
-		run.corrupted = ep.Faults.CorruptedContexts
-	}
-	for _, phase := range []func() error{
-		func() error { return d.RunUntil(ep.Saved, o.MaxCycles) },
-		func() error { return d.Resume(ep) },
-		func() error { return d.RunUntil(ep.Finished, o.MaxCycles) },
-		func() error { return d.Run(o.MaxCycles) },
-	} {
-		if done, fatal := step(phase()); done {
-			collect()
-			return run, fatal
-		}
-	}
-	collect()
-	return finish()
-}
-
-// chaosCellSeed derives the deterministic fault seed of one sweep cell.
-func chaosCellSeed(root uint64, mode, ri, ki, kj int) uint64 {
-	return faults.DeriveSeed(root, uint64(mode), uint64(ri), uint64(ki), uint64(kj))
-}
-
-// runChaosCell classifies one cell end to end, including degradation.
-func (r *Runner) runChaosCell(co ChaosOptions, p *prepared, cell *ChaosCell,
-	fcfg faults.Config, checker func(*sim.Warp) error) error {
-	signal := int64(co.SignalFrac * float64(p.goldenCycles))
-	run, err := r.o.chaosEpisode(p, cell.Kind, signal, &fcfg, checker, co.MaxSignalAttempts)
-	if err != nil {
-		return err
-	}
-	cell.Retries, cell.ReRaised = run.retries, run.reRaised
-	cell.DupAbsorbed, cell.Corrupted = run.dupAbsorbed, run.corrupted
+// classifyCell files the outcome of a cell's episode e: a detection
+// degrades through Degrade, wrong output without one is silent-wrong,
+// and recovered marks faults absorbed in-episode.
+func classifyCell(e Episode, cell *ChaosCell, run *EpisodeRun, recovered bool) error {
 	switch {
-	case run.detected != nil:
-		cell.Detected = run.detected.Error()
-		// Degradation: the whole episode re-runs through BASELINE —
-		// first under a salted fault schedule (the faulty environment
-		// persists), then fault-free.
-		salted := fcfg
-		salted.Seed = faults.DeriveSeed(fcfg.Seed, co.FallbackSalt)
-		for _, fb := range []*faults.Config{&salted, nil} {
-			cell.FallbackAttempts++
-			fbRun, err := r.o.chaosEpisode(p, preempt.Baseline, signal, fb, nil, co.MaxSignalAttempts)
-			if err != nil {
-				return err
-			}
-			if fbRun.detected == nil && fbRun.verifyErr == nil {
-				cell.Outcome = ChaosFallback
-				return nil
-			}
-		}
+	case run.Detected != nil:
+		cell.Detected = run.Detected.Error()
+		attempts, ok, err := Degrade(e)
+		cell.FallbackAttempts = attempts
 		cell.Outcome = ChaosUnrecoverable
-	case run.skipped:
-		cell.Skipped = true
-		if run.verifyErr != nil {
-			cell.Outcome = ChaosSilentWrong
+		if ok {
+			cell.Outcome = ChaosFallback
 		}
-	case run.verifyErr != nil:
+		return err
+	case run.VerifyErr != nil:
 		cell.Outcome = ChaosSilentWrong
-	case run.retries+run.reRaised+run.dupAbsorbed > 0:
+		cell.Skipped = run.Drained
+	case run.Drained:
+		cell.Skipped = true
+	case recovered:
 		cell.Outcome = ChaosRecovered
 	default:
 		cell.Outcome = ChaosClean
@@ -388,17 +191,33 @@ func (r *Runner) runChaosCell(co ChaosOptions, p *prepared, cell *ChaosCell,
 	return nil
 }
 
+// chaosCellSeed derives the deterministic fault seed of one sweep cell.
+func chaosCellSeed(root uint64, mode, ri, ki, kj int) uint64 {
+	return faults.DeriveSeed(root, uint64(mode), uint64(ri), uint64(ki), uint64(kj))
+}
+
+// runChaosCell classifies one live-fault cell end to end, including
+// degradation.
+func (r *Runner) runChaosCell(p *prepared, cell *ChaosCell, fcfg faults.Config, oracle func(*sim.Warp) error) error {
+	e := r.chaosEpisode(p, cell.Kind)
+	e.Faults, e.Oracle = &fcfg, oracle
+	run, err := e.Run()
+	if err != nil {
+		return err
+	}
+	cell.ReRaised = run.ReRaised
+	if ep := run.Ep; ep != nil {
+		cell.Retries, cell.DupAbsorbed, cell.Corrupted =
+			ep.Faults.TransientRetries, ep.Faults.AbsorbedDupSignals, ep.Faults.CorruptedContexts
+	}
+	return classifyCell(e, cell, run, cell.Retries+cell.ReRaised+cell.DupAbsorbed > 0)
+}
+
 // Chaos sweeps fault rates x techniques x kernels, in both detection
 // modes, across the worker pool. Cell outcomes are independent
 // deterministic simulations, so the report is identical at every
 // Parallelism setting.
 func (r *Runner) Chaos(co ChaosOptions) (*ChaosReport, error) {
-	if co.SignalFrac <= 0 || co.SignalFrac >= 1 {
-		co.SignalFrac = 0.5
-	}
-	if co.MaxSignalAttempts < 1 {
-		co.MaxSignalAttempts = 8
-	}
 	if err := r.prepareAll(); err != nil {
 		return nil, err
 	}
@@ -417,11 +236,11 @@ func (r *Runner) Chaos(co ChaosOptions) (*ChaosReport, error) {
 	var cfgs []cellCfg
 	oracles := make([]func(*sim.Warp) error, len(r.prep))
 	for ki := range r.prep {
-		g, err := cfg.Build(r.prep[ki].p.wl.Prog)
+		oracle, err := NewOracle(r.prep[ki].p.wl)
 		if err != nil {
 			return nil, err
 		}
-		oracles[ki] = chaosChecker(liveness.Analyze(g), r.o.Params.WarpsPerBlock)
+		oracles[ki] = oracle
 	}
 	for ri, rate := range co.Rates {
 		for ki := range r.prep {
@@ -457,9 +276,9 @@ func (r *Runner) Chaos(co ChaosOptions) (*ChaosReport, error) {
 
 	if err := r.runJobs(len(rep.Cells), func(i int) error {
 		if rep.Cells[i].Mode == "snapshot" {
-			return r.runSnapshotCell(co, r.prep[cfgs[i].ki].p, &rep.Cells[i], cfgs[i].fcfg, cfgs[i].checker)
+			return r.runSnapshotCell(r.prep[cfgs[i].ki].p, &rep.Cells[i], cfgs[i].fcfg, cfgs[i].checker)
 		}
-		return r.runChaosCell(co, r.prep[cfgs[i].ki].p, &rep.Cells[i], cfgs[i].fcfg, cfgs[i].checker)
+		return r.runChaosCell(r.prep[cfgs[i].ki].p, &rep.Cells[i], cfgs[i].fcfg, cfgs[i].checker)
 	}); err != nil {
 		return nil, err
 	}

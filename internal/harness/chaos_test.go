@@ -2,6 +2,7 @@ package harness
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -227,6 +228,47 @@ func TestChaosSnapshotMode(t *testing.T) {
 	for _, class := range []string{"truncated", "bit-flip", "stale-epoch"} {
 		if !fired[class] {
 			t.Errorf("fault class %s never drawn across the sweep", class)
+		}
+	}
+}
+
+// TestOracleExactOnCleanEpisodes pins the resume-integrity oracle's
+// liveness-exact rule. CTXBack leaves dead values and masked-out lanes
+// that are never observed again unrestored, so fault-free CTXBack and
+// CTXBack+CS-Defer episodes, whose output verifies, must raise no
+// IntegrityError. An oracle that compares every lane of every live-in
+// register flags all four (HS CTXBack @0.5 reports v11[32] =
+// 0xdeadbeef, a lane masked out at the signal).
+func TestOracleExactOnCleanEpisodes(t *testing.T) {
+	o := QuickOptions()
+	for _, c := range []struct {
+		factory kernels.Factory
+		frac    float64
+	}{{kernels.NewHS, 0.5}, {kernels.NewDOT, 0.7}} {
+		p, err := o.prepare(c.factory)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oracle, err := NewOracle(p.wl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, kind := range []preempt.Kind{preempt.CTXBack, preempt.Combined} {
+			e := Episode{Cfg: o.Cfg, MaxCycles: o.MaxCycles, Workload: p.wl, Kind: kind,
+				Signal: int64(c.frac * float64(p.goldenCycles)), Oracle: oracle, Complete: true}
+			run, err := e.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("%s %v @%.1f", p.wl.Abbrev, kind, c.frac)
+			switch {
+			case run.Drained:
+				t.Errorf("%s: drained; the case preempts nothing", name)
+			case run.Detected != nil:
+				t.Errorf("%s: false detection on a fault-free episode: %v", name, run.Detected)
+			case run.VerifyErr != nil:
+				t.Errorf("%s: output does not verify: %v", name, run.VerifyErr)
+			}
 		}
 	}
 }

@@ -5,7 +5,6 @@
 package harness
 
 import (
-	"errors"
 	"fmt"
 
 	"ctxback/internal/kernels"
@@ -142,63 +141,27 @@ type EpisodeStats struct {
 	ReplayCycles  int64 // → logical progress regained
 }
 
-// classifyPreemptErr discriminates the benign drained outcome (the SM
-// had no running warps left — an expected race between the signal and
-// kernel completion) from real preemption failures, which must
-// propagate. Non-drain errors pass through unchanged.
-func classifyPreemptErr(err error) (drained bool, failure error) {
-	if err == nil {
-		return false, nil
-	}
-	if errors.Is(err, sim.ErrDrained) {
-		return true, nil
-	}
-	return false, err
-}
-
 // measure preempts SM 0 at signalCycle under the technique, resumes
 // immediately after the save completes, and (optionally) verifies the
 // completed run. ok=false when the kernel drained before the signal.
 func (o *Options) measure(p *prepared, kind preempt.Kind, signalCycle int64) (EpisodeStats, bool, error) {
-	tech, err := preempt.New(kind, p.wl.Prog)
-	if err != nil {
-		return EpisodeStats{}, false, fmt.Errorf("%s/%v: %w", p.wl.Abbrev, kind, err)
-	}
-	d, err := sim.NewDevice(o.Cfg)
-	if err != nil {
+	e := Episode{Cfg: o.Cfg, MaxCycles: o.MaxCycles, Workload: p.wl, Kind: kind,
+		Signal: signalCycle, Complete: o.Verify}
+	run, err := e.Run()
+	switch {
+	case err != nil:
 		return EpisodeStats{}, false, err
-	}
-	d.AttachRuntime(tech)
-	launch, err := p.wl.Launch(d)
-	if err != nil {
-		return EpisodeStats{}, false, err
-	}
-	if err := d.RunToCycle(signalCycle, o.MaxCycles); err != nil {
-		return EpisodeStats{}, false, err
-	}
-	if launch.Done() {
+	case run.Detected != nil:
+		return EpisodeStats{}, false, e.errorf("episode", run.Detected)
+	case run.VerifyErr != nil:
+		return EpisodeStats{}, false, e.errorf("output corrupted by preemption", run.VerifyErr)
+	case run.Drained:
+		if m := o.Metrics; m != nil {
+			m.Counter("episodes.drained").Add(1)
+		}
 		return EpisodeStats{}, false, nil
 	}
-	ep, err := d.Preempt(0, tech)
-	if err != nil {
-		drained, failure := classifyPreemptErr(err)
-		if drained {
-			if m := o.Metrics; m != nil {
-				m.Counter("episodes.drained").Add(1)
-			}
-			return EpisodeStats{}, false, nil
-		}
-		return EpisodeStats{}, false, fmt.Errorf("%s/%v preempt: %w", p.wl.Abbrev, kind, failure)
-	}
-	if err := d.RunUntil(ep.Saved, o.MaxCycles); err != nil {
-		return EpisodeStats{}, false, fmt.Errorf("%s/%v save: %w", p.wl.Abbrev, kind, err)
-	}
-	if err := d.Resume(ep); err != nil {
-		return EpisodeStats{}, false, err
-	}
-	if err := d.RunUntil(ep.Finished, o.MaxCycles); err != nil {
-		return EpisodeStats{}, false, fmt.Errorf("%s/%v resume: %w", p.wl.Abbrev, kind, err)
-	}
+	ep := run.Ep
 	ph := ep.Phases()
 	stats := EpisodeStats{
 		PreemptCycles: ep.PreemptLatencyCycles(),
@@ -220,14 +183,6 @@ func (o *Options) measure(p *prepared, kind preempt.Kind, signalCycle int64) (Ep
 		m.Histogram("episode.save_cycles", b).Observe(ph.Save)
 		m.Histogram("episode.restore_cycles", b).Observe(ph.Restore)
 		m.Histogram("episode.replay_cycles", b).Observe(ph.Replay)
-	}
-	if o.Verify {
-		if err := d.Run(o.MaxCycles); err != nil {
-			return stats, true, fmt.Errorf("%s/%v completion: %w", p.wl.Abbrev, kind, err)
-		}
-		if err := p.wl.Verify(d); err != nil {
-			return stats, true, fmt.Errorf("%s/%v output corrupted by preemption: %w", p.wl.Abbrev, kind, err)
-		}
 	}
 	return stats, true, nil
 }

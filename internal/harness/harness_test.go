@@ -229,10 +229,10 @@ func TestWaitDistribution(t *testing.T) {
 // ceil(0.95*9) = 9, the maximum.
 func TestPercentileNearestRank(t *testing.T) {
 	nine := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9}
-	if got := percentile(nine, 0.95); got != 9 {
+	if got := trace.Percentile(nine, 0.95); got != 9 {
 		t.Errorf("p95 of 9 samples = %v, want 9 (the 9th)", got)
 	}
-	if got := percentile(nil, 0.95); got != 0 {
+	if got := trace.Percentile([]float64(nil), 0.95); got != 0 {
 		t.Errorf("p95 of no samples = %v, want 0", got)
 	}
 	// Samples 1..n make the value equal its rank, so agreement with
@@ -243,8 +243,8 @@ func TestPercentileNearestRank(t *testing.T) {
 			sorted[i] = float64(i + 1)
 		}
 		for _, q := range []float64{0.01, 0.05, 0.5, 0.9, 0.95, 0.99} {
-			if got, want := percentile(sorted, q), float64(trace.NearestRank(int64(n), q)); got != want {
-				t.Fatalf("percentile(n=%d, q=%v) = %v, want rank %v", n, q, got, want)
+			if got, want := trace.Percentile(sorted, q), float64(trace.NearestRank(int64(n), q)); got != want {
+				t.Fatalf("trace.Percentile(n=%d, q=%v) = %v, want rank %v", n, q, got, want)
 			}
 		}
 	}

@@ -88,7 +88,7 @@ func (r *Runner) WaitDistribution(abbrev string, n int) (*QoSResult, error) {
 		res.Rows = append(res.Rows, QoSRow{
 			Kind:         kind,
 			MeanUs:       mean(waits),
-			P95Us:        percentile(waits, 0.95),
+			P95Us:        trace.Percentile(waits, 0.95),
 			MaxUs:        waits[len(waits)-1],
 			ResumeMeanUs: mean(resumes),
 		})
@@ -102,16 +102,6 @@ func mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// percentile returns the nearest-rank q-percentile of sorted samples,
-// the definition sched's turnaround percentiles use: rank ceil(q*n),
-// computed exactly by trace.NearestRank.
-func percentile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	return sorted[trace.NearestRank(int64(len(sorted)), q)-1]
 }
 
 // RenderQoS formats the distribution table.

@@ -226,16 +226,16 @@ func TestPercentileNearestRank(t *testing.T) {
 		want int64
 	}{{0.5, 20}, {0.75, 30}, {0.95, 40}, {0.99, 40}, {1, 40}, {0.01, 10}}
 	for _, c := range cases {
-		if got := percentile(s, c.q); got != c.want {
-			t.Errorf("percentile(%v) = %d, want %d", c.q, got, c.want)
+		if got := trace.Percentile(s, c.q); got != c.want {
+			t.Errorf("trace.Percentile(%v) = %d, want %d", c.q, got, c.want)
 		}
 	}
-	if percentile(nil, 0.5) != 0 {
+	if trace.Percentile([]int64(nil), 0.5) != 0 {
 		t.Error("empty percentile should be 0")
 	}
 	// benchtab -qos's 9 arrival points: p95 is the 9th sample, the same
 	// rank harness's QoS percentile is pinned to.
-	if got := percentile([]int64{1, 2, 3, 4, 5, 6, 7, 8, 9}, 0.95); got != 9 {
+	if got := trace.Percentile([]int64{1, 2, 3, 4, 5, 6, 7, 8, 9}, 0.95); got != 9 {
 		t.Errorf("p95 of 9 samples = %d, want 9", got)
 	}
 }
@@ -253,8 +253,8 @@ func TestPercentileExactRank(t *testing.T) {
 		want int64
 	}{{0.07, 7}, {0.5, 50}, {0.95, 95}, {0.99, 99}, {1, 100}}
 	for _, c := range cases {
-		if got := percentile(s, c.q); got != c.want {
-			t.Errorf("percentile(%v) over 1..100 = %d, want %d", c.q, got, c.want)
+		if got := trace.Percentile(s, c.q); got != c.want {
+			t.Errorf("trace.Percentile(%v) over 1..100 = %d, want %d", c.q, got, c.want)
 		}
 	}
 }

@@ -417,9 +417,9 @@ func (sv *server) result() *ServeResult {
 		}
 		if slo.Completed > 0 {
 			slo.MeanQueueCycles = divRound(sv.queueSum[t], int64(slo.Completed))
-			slo.P50 = percentile(turns, 0.50)
-			slo.P95 = percentile(turns, 0.95)
-			slo.P99 = percentile(turns, 0.99)
+			slo.P50 = trace.Percentile(turns, 0.50)
+			slo.P95 = trace.Percentile(turns, 0.95)
+			slo.P99 = trace.Percentile(turns, 0.99)
 			px[t] = float64(slo.Preemptions) / float64(slo.Completed)
 		}
 		tx[t] = float64(slo.Completed)
@@ -431,7 +431,7 @@ func (sv *server) result() *ServeResult {
 		r.Tenants = append(r.Tenants, slo)
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	r.P50, r.P95, r.P99 = percentile(all, 0.50), percentile(all, 0.95), percentile(all, 0.99)
+	r.P50, r.P95, r.P99 = trace.Percentile(all, 0.50), trace.Percentile(all, 0.95), trace.Percentile(all, 0.99)
 	r.PreemptionJain = jain(px)
 	r.ThroughputJain = jain(tx)
 	if sv.hyper != nil {

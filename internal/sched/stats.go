@@ -51,19 +51,6 @@ type Result struct {
 	Events []Event
 }
 
-// percentile returns the exact nearest-rank q-percentile of sorted
-// samples (q in [0,1]). The rank comes from trace.NearestRank, which
-// computes ceil(q*n) exactly; the float ceiling used before drifted one
-// rank high at the (q, n) pairs where q*n is an integer but the float
-// product rounds above it — 0.99 at n=100 reported the maximum instead
-// of the 99th rank, inflating every affected tail percentile.
-func percentile(sorted []int64, q float64) int64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	return sorted[trace.NearestRank(int64(len(sorted)), q)-1]
-}
-
 func divRound(sum, n int64) int64 { return (sum + n/2) / n }
 
 // result folds the scheduler's per-job state into a Result and exports
@@ -81,7 +68,7 @@ func (s *scheduler) result() (*Result, error) {
 		all = append(all, st.TurnaroundCycles())
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	res.P50, res.P95, res.P99 = percentile(all, 0.50), percentile(all, 0.95), percentile(all, 0.99)
+	res.P50, res.P95, res.P99 = trace.Percentile(all, 0.50), trace.Percentile(all, 0.95), trace.Percentile(all, 0.99)
 	res.Tenants = tenantStats(res.Jobs)
 	s.export(res)
 	return res, nil
@@ -113,7 +100,7 @@ func tenantStats(jobs []JobStats) []TenantStats {
 		}
 		ts.MeanQueueCycles = divRound(queueSum, int64(len(js)))
 		sort.Slice(turns, func(i, j int) bool { return turns[i] < turns[j] })
-		ts.P50, ts.P95, ts.P99 = percentile(turns, 0.50), percentile(turns, 0.95), percentile(turns, 0.99)
+		ts.P50, ts.P95, ts.P99 = trace.Percentile(turns, 0.50), trace.Percentile(turns, 0.95), trace.Percentile(turns, 0.99)
 		out = append(out, ts)
 	}
 	return out

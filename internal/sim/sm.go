@@ -129,7 +129,7 @@ func (sm *SM) issue(w *Warp, t int64) error {
 	}
 
 	sm.Dev.Stats.Instructions++
-	if tr := d.tracer; tr != nil && (tr.Filter == nil || tr.Filter(w)) {
+	if tr := d.tracer; tr != nil {
 		tr.record(TraceEvent{Cycle: t, SM: sm.ID, WarpID: w.ID, Mode: w.Mode, PC: w.PC, Text: in.String()})
 	}
 	switch w.Mode {

@@ -21,8 +21,6 @@ type Tracer struct {
 	events []TraceEvent
 	next   int
 	filled bool
-	// Filter restricts recording (nil records everything).
-	Filter func(*Warp) bool
 }
 
 // EnableTrace attaches a ring buffer of the given capacity and returns

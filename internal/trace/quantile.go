@@ -72,6 +72,18 @@ func NearestRank(n int64, q float64) int64 {
 	return int64(rank)
 }
 
+// Percentile returns the nearest-rank q-quantile of sorted samples,
+// sorted[NearestRank(len(sorted), q)-1], or the zero value for none.
+// Every percentile the project reports (scheduler and serving
+// turnarounds, QoS waiting times) goes through it.
+func Percentile[T any](sorted []T, q float64) T {
+	if len(sorted) == 0 {
+		var zero T
+		return zero
+	}
+	return sorted[NearestRank(int64(len(sorted)), q)-1]
+}
+
 // pow10 returns 10^p for 0 <= p <= 18 (the uint64 range).
 func pow10(p int) uint64 {
 	v := uint64(1)

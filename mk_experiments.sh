@@ -184,6 +184,15 @@ identical seeds give identical reports at every `-procs` setting
 (`TestChaosDeterministicAcrossWorkers`). Chaos is opt-in: `-all` never
 enables it, so everything above is unaffected.
 
+The quick sweep (`go run ./cmd/benchtab -quick -chaos`, 336 episodes)
+is pinned cell by cell in `testdata/chaos_quick.golden` and diffed by
+`make chaos-smoke` in CI. It reads 177 clean, 57 recovered, 102
+fallback, 0 unrecoverable, 0 silent-wrong. Before the harness adopted
+the liveness-exact resume-integrity oracle it read 174 clean / 105
+fallback: the older oracle compared dead values and masked-out lanes
+that CTXBack legitimately leaves unrestored, so three clean HS cells
+showed as fallbacks (`TestOracleExactOnCleanEpisodes` pins the rule).
+
 DESIGN.md §5 documents the fault model; `TestChaosNoSilentWrong` and
 `FuzzFaultRecovery` (internal/preempt) enforce the same invariant in CI.
 FOOTER
